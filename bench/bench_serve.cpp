@@ -3,21 +3,23 @@
 //
 // Two sections, each swept over a list of thread counts:
 //
-//   1. store: raw enqueue+dequeue pair throughput of BOTH receipt-store
-//      backends (lock-free MPMC w/ hazard reclamation, flat-combining
-//      ring), measured as warmup + N sampled intervals (ops/sec per
-//      interval, mean/min/max reported);
+//   1. queue: raw push+pop pair throughput of the serving layer's
+//      BoundedQueue (one mutex, two condition variables), measured as
+//      warmup + N sampled intervals (ops/sec per interval, mean/min/max
+//      reported);
 //   2. pipeline: end-to-end submit→settle throughput of ServePipeline
 //      with T producers and 2 consumers; every 97th record is tampered
 //      (bill off by one) to exercise the reject path.
 //
 // Hard invariant gates (exit non-zero, this is NOT advisory):
-//   * every store drains empty after its measurement;
+//   * the queue drains empty after its measurement;
 //   * pipeline conservation: ingested == settled + rejected;
 //   * rejected == exactly the number of tampered records submitted.
 //
 // Soft throughput keys land in BENCH_serve.json for
-// tools/check_bench_regression.sh.
+// tools/check_bench_regression.sh, stamped with the host and build they
+// came from: CPU count, compiler, build type, git revision (as of CMake
+// configure) and whether workers were pinned.
 //
 // Knobs: --threads A,B,C (default 1,2,4), --warmup-ms N, --interval-ms N,
 // --intervals N, --consumers N, --capacity N, --pin.
@@ -26,16 +28,25 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/harness.hpp"
 #include "serve/pipeline.hpp"
-#include "serve/store.hpp"
+#include "serve/queue.hpp"
 
 using namespace tlc;
 using namespace tlc::serve;
 
 namespace {
+
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
 
 struct Options {
   std::vector<std::size_t> threads{1, 2, 4};
@@ -121,40 +132,30 @@ void print_result(const char* section, const HarnessResult& r) {
   std::printf(")\n");
 }
 
-/// Store section: each worker runs enqueue/dequeue pairs; one "op" is a
-/// completed pair. Afterwards the main thread drains the store and gates
-/// on emptiness. Works identically for both backends (same API).
-template <typename Queue>
-HarnessResult bench_store(const Options& opt, std::size_t threads,
+/// Queue section: each worker runs push/pop pairs; one "op" is a
+/// completed pair. A worker popping has one value of its own in flight,
+/// so its pop never waits on another worker, and when every worker has
+/// finished its last pair the queue must be empty — a leftover value
+/// would be a correctness bug, not noise.
+HarnessResult bench_queue(const Options& opt, std::size_t threads,
                           bool* gate_ok) {
-  Queue queue(opt.capacity, threads + 1);
+  BoundedQueue<ExchangeRecord> queue(opt.capacity);
   IntervalHarness harness{HarnessConfig{
       threads, opt.warmup, opt.interval, opt.intervals, opt.pin}};
   const HarnessResult result = harness.run(
       [&queue](std::size_t thread, const std::atomic<bool>& stop,
                std::atomic<std::uint64_t>& ops) {
-        typename Queue::Handle handle = queue.register_thread();
-        ExchangeRecord rec = make_record(thread, 0, 4);
-        ExchangeRecord out;
+        const ExchangeRecord rec = make_record(thread, 0, 4);
+        std::vector<ExchangeRecord> out;
+        out.reserve(1);
         while (!stop.load(std::memory_order_relaxed)) {
-          while (!queue.try_enqueue(handle, rec)) {
-            if (stop.load(std::memory_order_relaxed)) return;
-          }
-          while (!queue.try_dequeue(handle, &out)) {
-            if (stop.load(std::memory_order_relaxed)) return;
-          }
+          queue.push(rec);
+          queue.pop_batch(out, 1);
           ops.fetch_add(1, std::memory_order_relaxed);
         }
       });
-  // Workers may exit between their enqueue and dequeue; sweep leftovers,
-  // then the store must be empty — a record stuck in a half-linked node
-  // would be a correctness bug, not noise.
-  typename Queue::Handle handle = queue.register_thread();
-  ExchangeRecord out;
-  while (queue.try_dequeue(handle, &out)) {
-  }
-  if (!queue.empty_quiescent()) {
-    std::printf("GATE FAILURE: store not empty after drain (%zu threads)\n",
+  if (queue.size() != 0) {
+    std::printf("GATE FAILURE: queue not empty after drain (%zu threads)\n",
                 threads);
     *gate_ok = false;
   }
@@ -167,7 +168,6 @@ HarnessResult bench_pipeline(const Options& opt, std::size_t threads,
                              bool* gate_ok) {
   PipelineConfig cfg;
   cfg.consumers = opt.consumers;
-  cfg.max_producers = threads;
   cfg.store_capacity = opt.capacity;
   cfg.cycles = 4;
   cfg.loss_weight = 0.5;
@@ -180,7 +180,7 @@ HarnessResult bench_pipeline(const Options& opt, std::size_t threads,
       [&pipeline, &tampered](std::size_t thread,
                              const std::atomic<bool>& stop,
                              std::atomic<std::uint64_t>& ops) {
-        ReceiptStore::Handle handle = pipeline.register_producer();
+        const ProducerHandle handle = pipeline.register_producer();
         std::uint64_t seq = 0;
         while (!stop.load(std::memory_order_relaxed)) {
           ExchangeRecord rec = make_record(thread, seq, 4);
@@ -214,7 +214,7 @@ HarnessResult bench_pipeline(const Options& opt, std::size_t threads,
     *gate_ok = false;
   }
   if (!pipeline.store_empty()) {
-    std::printf("GATE FAILURE: pipeline store not empty after drain "
+    std::printf("GATE FAILURE: pipeline queue not empty after drain "
                 "(%zu threads)\n",
                 threads);
     *gate_ok = false;
@@ -227,22 +227,16 @@ HarnessResult bench_pipeline(const Options& opt, std::size_t threads,
 int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
   bool gate_ok = true;
+  const unsigned cpus = std::thread::hardware_concurrency();
 
-  std::printf("## serve interval throughput (default backend: %s)\n\n",
-              kReceiptStoreBackend);
+  std::printf("## serve interval throughput (%u cpus, %s, %s)\n\n", cpus,
+              kCompiler, TLC_BENCH_BUILD_TYPE);
 
-  std::vector<HarnessResult> mpmc_rows;
-  std::vector<HarnessResult> fc_rows;
+  std::vector<HarnessResult> queue_rows;
   std::vector<HarnessResult> pipe_rows;
   for (const std::size_t threads : opt.threads) {
-    mpmc_rows.push_back(
-        bench_store<MpmcQueue<ExchangeRecord>>(opt, threads, &gate_ok));
-    print_result("store/mpmc_hazard", mpmc_rows.back());
-  }
-  for (const std::size_t threads : opt.threads) {
-    fc_rows.push_back(
-        bench_store<FcQueue<ExchangeRecord>>(opt, threads, &gate_ok));
-    print_result("store/flat_combining", fc_rows.back());
+    queue_rows.push_back(bench_queue(opt, threads, &gate_ok));
+    print_result("queue/push-pop", queue_rows.back());
   }
   for (const std::size_t threads : opt.threads) {
     pipe_rows.push_back(bench_pipeline(opt, threads, &gate_ok));
@@ -253,20 +247,21 @@ int main(int argc, char** argv) {
   if (out != nullptr) {
     std::fprintf(out,
                  "{\n"
-                 "  \"backend\": \"%s\",\n"
+                 "  \"cpus\": %u,\n"
+                 "  \"compiler\": \"%s\",\n"
+                 "  \"build_type\": \"%s\",\n"
+                 "  \"git_sha\": \"%s\",\n"
+                 "  \"pinned\": %s,\n"
                  "  \"consumers\": %zu,\n"
                  "  \"intervals\": %zu,\n",
-                 kReceiptStoreBackend, opt.consumers, opt.intervals);
-    for (const HarnessResult& r : mpmc_rows) {
+                 cpus, kCompiler, TLC_BENCH_BUILD_TYPE, TLC_BENCH_GIT_SHA,
+                 opt.pin ? "true" : "false", opt.consumers, opt.intervals);
+    for (const HarnessResult& r : queue_rows) {
       std::fprintf(out,
-                   "  \"store_mpmc_threads%zu_ops_per_sec\": %.1f,\n"
-                   "  \"store_mpmc_threads%zu_min_ops_per_sec\": %.1f,\n",
+                   "  \"queue_threads%zu_ops_per_sec\": %.1f,\n"
+                   "  \"queue_threads%zu_min_ops_per_sec\": %.1f,\n",
                    r.threads, r.mean_ops_per_sec, r.threads,
                    r.min_ops_per_sec);
-    }
-    for (const HarnessResult& r : fc_rows) {
-      std::fprintf(out, "  \"store_fc_threads%zu_ops_per_sec\": %.1f,\n",
-                   r.threads, r.mean_ops_per_sec);
     }
     for (const HarnessResult& r : pipe_rows) {
       std::fprintf(out,
@@ -285,7 +280,7 @@ int main(int argc, char** argv) {
     std::printf("SERVE INVARIANT GATE FAILED\n");
     return 1;
   }
-  std::printf("invariants: ingested == settled + rejected, stores drained "
+  std::printf("invariants: ingested == settled + rejected, queues drained "
               "empty — ok\n");
   return 0;
 }

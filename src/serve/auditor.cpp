@@ -1,40 +1,42 @@
 #include "serve/auditor.hpp"
 
+#include <cassert>
 #include <utility>
+#include <vector>
 
 namespace tlc::serve {
 
 LiveAuditor::LiveAuditor(crypto::PublicKey edge_key,
                          crypto::PublicKey operator_key,
-                         charging::DataPlan plan, std::size_t max_producers,
-                         std::size_t queue_capacity)
-    : queue_(queue_capacity, max_producers + 1),
+                         charging::DataPlan plan, std::size_t queue_capacity)
+    : queue_(queue_capacity),
       verifier_(std::move(edge_key), std::move(operator_key),
                 std::move(plan)),
       auditor_([this] { audit_loop(); }) {}
 
 LiveAuditor::~LiveAuditor() { drain(); }
 
-void LiveAuditor::submit(const BatchQueue::Handle& handle,
+void LiveAuditor::submit(const ProducerHandle& /*handle*/,
                          const core::ReceiptBatch* batch) {
-  while (!queue_.try_enqueue(handle, batch)) {
-    std::this_thread::yield();
-  }
+  [[maybe_unused]] const bool queued = queue_.push(batch);
+  assert(queued && "submit() after drain()");
   submitted_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void LiveAuditor::drain() {
   if (drained_) return;
   drained_ = true;
-  stopping_.store(true, std::memory_order_release);
+  queue_.close();
   auditor_.join();
 }
 
 void LiveAuditor::audit_loop() {
-  BatchQueue::Handle handle = queue_.register_thread();
-  const core::ReceiptBatch* batch = nullptr;
-  for (;;) {
-    if (queue_.try_dequeue(handle, &batch)) {
+  std::vector<const core::ReceiptBatch*> batches;
+  batches.reserve(kPopBatch);
+  // pop_batch() returns 0 only once drain() closed the queue and it is
+  // empty; all submits happen-before that close.
+  while (queue_.pop_batch(batches, kPopBatch) > 0) {
+    for (const core::ReceiptBatch* batch : batches) {
       const core::BatchAudit audit = verifier_.verify_batch(*batch);
       verified_.fetch_add(1, std::memory_order_relaxed);
       if (audit.head == core::BatchVerifyResult::kOk) {
@@ -48,10 +50,7 @@ void LiveAuditor::audit_loop() {
                                    std::memory_order_relaxed);
       verified_volume_.fetch_add(audit.total_verified_volume.count(),
                                  std::memory_order_relaxed);
-      continue;
     }
-    if (stopping_.load(std::memory_order_acquire)) break;
-    std::this_thread::yield();
   }
 }
 

@@ -4,10 +4,11 @@
 // batch, but it is stateful (it tracks the expected chain link), so heads
 // MUST be verified in chain order. The auditor preserves that contract
 // under concurrency by construction: any number of ingest threads hand
-// finished batches through the lock-free store, and exactly ONE audit
-// thread dequeues and verifies — order in, order out (the MPMC queue is
-// FIFO over linearized enqueues, so callers submit each chain's heads in
-// order and the verifier sees them in order).
+// finished batches through the serving layer's BoundedQueue, and exactly
+// ONE audit thread dequeues and verifies — order in, order out (the queue
+// is FIFO over lock acquisitions, so callers submit each chain's heads in
+// order and the verifier sees them in order). The audit thread blocks
+// while the queue is empty.
 //
 // Batch lifetime: the auditor borrows `const ReceiptBatch*`; the submitter
 // keeps each batch alive until drain() returns.
@@ -18,30 +19,24 @@
 #include <thread>
 
 #include "charging/data_plan.hpp"
-#include "serve/mpmc_queue.hpp"
+#include "serve/queue.hpp"
 #include "tlc/verifier.hpp"
 
 namespace tlc::serve {
 
 class LiveAuditor {
  public:
-  using BatchQueue = MpmcQueue<const core::ReceiptBatch*>;
-
   LiveAuditor(crypto::PublicKey edge_key, crypto::PublicKey operator_key,
-              charging::DataPlan plan, std::size_t max_producers,
-              std::size_t queue_capacity = 256);
+              charging::DataPlan plan, std::size_t queue_capacity = 256);
   LiveAuditor(const LiveAuditor&) = delete;
   LiveAuditor& operator=(const LiveAuditor&) = delete;
   ~LiveAuditor();
 
-  [[nodiscard]] BatchQueue::Handle register_producer() {
-    return queue_.register_thread();
-  }
+  [[nodiscard]] ProducerHandle register_producer() { return {}; }
 
-  /// Hands one finished batch to the audit thread; spins under
+  /// Hands one finished batch to the audit thread; blocks under
   /// backpressure. Heads of one chain must be submitted in chain order.
-  void submit(const BatchQueue::Handle& handle,
-              const core::ReceiptBatch* batch);
+  void submit(const ProducerHandle& handle, const core::ReceiptBatch* batch);
 
   /// Waits for every submitted batch to be verified, then stops the audit
   /// thread. Idempotent; all submits happen-before.
@@ -72,7 +67,7 @@ class LiveAuditor {
  private:
   void audit_loop();
 
-  BatchQueue queue_;
+  BoundedQueue<const core::ReceiptBatch*> queue_;
   core::BatchedVerifier verifier_;
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> verified_{0};
@@ -81,7 +76,6 @@ class LiveAuditor {
   std::atomic<std::uint64_t> receipts_accepted_{0};
   std::atomic<std::uint64_t> receipts_rejected_{0};
   std::atomic<std::uint64_t> verified_volume_{0};
-  std::atomic<bool> stopping_{false};
   bool drained_ = false;
   std::thread auditor_;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
+#include <vector>
 
 #include "common/hot.hpp"
 #include "epc/fleet.hpp"  // fnv1a64 / kFnvBasis for the OFCS fold
@@ -13,14 +15,18 @@ namespace {
 /// or the serve-vs-batch cross-check in tools/tlc_serve.cpp diverges.
 constexpr double kFlagGapRatio = 0.25;
 
+/// The OFCS fold order: (cycle, cell) — exactly the deterministic merge
+/// order of the sharded batch runner (all of a cycle's reports share one
+/// deliver time; the cell id breaks ties).
+bool fold_before(const CellReport& a, const CellReport& b) {
+  if (a.cycle != b.cycle) return a.cycle < b.cycle;
+  return a.cell < b.cell;
+}
+
 }  // namespace
 
 ServePipeline::ServePipeline(PipelineConfig config)
-    : config_(config),
-      store_(config.store_capacity,
-             config.max_producers + (config.consumers == 0
-                                         ? 1
-                                         : config.consumers)) {
+    : config_(config), queue_(config.store_capacity) {
   if (config_.consumers == 0) config_.consumers = 1;
   cycle_rows_.reserve(config_.cycles);
   for (std::uint32_t c = 0; c < config_.cycles; ++c) {
@@ -38,33 +44,28 @@ ServePipeline::ServePipeline(PipelineConfig config)
 
 ServePipeline::~ServePipeline() { drain(); }
 
-TLC_HOT void ServePipeline::submit(const ReceiptStore::Handle& handle,
+TLC_HOT void ServePipeline::submit(const ProducerHandle& /*handle*/,
                                    ExchangeRecord record) {
   if (config_.clock != nullptr) {
     record.enqueued_ns = (config_.clock->now() - kTimeZero).count();
   }
-  // Bounded store: spin under backpressure rather than drop — every
+  // Bounded queue: block under backpressure rather than drop — every
   // ingested record must be accounted for exactly once.
-  while (!store_.try_enqueue(handle, record)) {
-    std::this_thread::yield();
-  }
+  [[maybe_unused]] const bool queued = queue_.push(record);
+  assert(queued && "submit() after drain()");
   ingested_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServePipeline::consume(std::size_t consumer_index) {
-  ReceiptStore::Handle handle = store_.register_thread();
   ConsumerState* state = consumer_states_[consumer_index].get();
-  ExchangeRecord rec;
-  for (;;) {
-    if (store_.try_dequeue(handle, &rec)) {
-      settle(rec, state);
-      continue;
-    }
-    // Empty right now. All submits happen-before drain() sets stopping_,
-    // so an empty store after the flag is visible means we are done.
-    if (stopping_.load(std::memory_order_acquire)) break;
-    std::this_thread::yield();
+  std::vector<ExchangeRecord> batch;
+  batch.reserve(kPopBatch);
+  // pop_batch() returns 0 only once drain() closed the queue and it is
+  // empty; all submits happen-before that close.
+  while (queue_.pop_batch(batch, kPopBatch) > 0) {
+    for (const ExchangeRecord& rec : batch) settle(rec, state);
   }
+  std::sort(state->reports.begin(), state->reports.end(), fold_before);
 }
 
 void ServePipeline::settle(const ExchangeRecord& rec, ConsumerState* state) {
@@ -132,10 +133,10 @@ void ServePipeline::drain() {
   if (drained_) return;
   drained_ = true;
 
-  stopping_.store(true, std::memory_order_release);
+  queue_.close();
   for (std::thread& t : consumers_) t.join();
   consumers_.clear();
-  assert(store_.empty_quiescent());
+  assert(queue_.size() == 0);
 
   stats_.ingested = ingested_.load(std::memory_order_relaxed);
   stats_.settled = settled_.load(std::memory_order_relaxed);
@@ -167,24 +168,30 @@ void ServePipeline::drain() {
     stats_.charged_ul += out.charged_ul;
   }
 
-  // OFCS fold: collect every consumer's reports, order by (cycle, cell) —
-  // exactly the deterministic merge order of the sharded batch runner
-  // (all of a cycle's reports share one deliver time; the cell id breaks
-  // ties) — and fold the same four words exp/fleet.cpp folds.
-  std::vector<CellReport> reports;
   for (const auto& state : consumer_states_) {
-    reports.insert(reports.end(), state->reports.begin(),
-                   state->reports.end());
     stats_.settle_latency.merge_from(state->latency);
   }
-  std::sort(reports.begin(), reports.end(),
-            [](const CellReport& a, const CellReport& b) {
-              if (a.cycle != b.cycle) return a.cycle < b.cycle;
-              return a.cell < b.cell;
-            });
+
+  // OFCS fold: a k-way merge over the consumers' (cycle, cell)-sorted
+  // report runs, folding the same four words exp/fleet.cpp folds — no
+  // merged copy of the reports is ever built.
+  std::vector<std::size_t> next(consumer_states_.size(), 0);
   std::uint64_t chain = epc::kFnvBasis;
   std::uint64_t flagged = 0;
-  for (const CellReport& r : reports) {
+  for (;;) {
+    const CellReport* min = nullptr;
+    std::size_t from = 0;
+    for (std::size_t k = 0; k < consumer_states_.size(); ++k) {
+      const std::deque<CellReport>& run = consumer_states_[k]->reports;
+      if (next[k] < run.size() &&
+          (min == nullptr || fold_before(run[next[k]], *min))) {
+        min = &run[next[k]];
+        from = k;
+      }
+    }
+    if (min == nullptr) break;
+    ++next[from];
+    const CellReport& r = *min;
     chain = epc::fnv1a64(chain, r.cycle);
     chain = epc::fnv1a64(chain, r.cell);
     chain = epc::fnv1a64(chain, r.charged_dl);

@@ -1,5 +1,5 @@
-// ServePipeline — the concurrent charging service around the receipt
-// store.
+// ServePipeline — the concurrent charging service around the hand-off
+// queue.
 //
 // Producers (ingest threads, the fleet replay, bench_serve) submit
 // ExchangeRecords; a pool of consumer threads dequeues each record and
@@ -12,39 +12,40 @@
 // fold at drain time.
 //
 // Invariant (CI-gated by bench_serve): every submitted record is accounted
-// exactly once — ingested() == settled() + rejected() — and the store
+// exactly once — ingested() == settled() + rejected() — and the queue
 // drains empty.
 //
 // Concurrency contract:
-//   * submit() may run from many producer threads (each with its own
-//     registered handle); it applies backpressure (spins) when the store
-//     is full, and never drops;
+//   * submit() may run from many producer threads; it blocks under
+//     backpressure when the queue is full, and never drops;
+//   * consumers block while the queue is empty, so an idle pipeline
+//     costs no CPU;
 //   * all submits happen-before drain(): the caller stops its producers,
 //     then drains. After drain() returns, the stats accessors are stable
 //     and single-threaded reads;
 //   * totals use relaxed atomics — they are commutative sums, so thread
 //     interleaving cannot change the drained values. Latency histograms
-//     are per-consumer and merged at drain (LogHistogram::merge_from),
-//     keeping the hot path lock-free.
+//     and cell reports are per-consumer and merged at drain, so settling
+//     takes no lock beyond the queue's.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "serve/queue.hpp"
 #include "serve/record.hpp"
-#include "serve/store.hpp"
 #include "sim/clock_source.hpp"
 
 namespace tlc::serve {
 
 struct PipelineConfig {
   std::size_t consumers = 2;
-  std::size_t max_producers = 4;
-  /// Bounded in-flight records; submit() spins when full.
+  /// Bounded in-flight records; submit() blocks when full.
   std::size_t store_capacity = 4096;
   /// Pre-sizes the per-cycle accumulator rows; records with cycle ≥ this
   /// are rejected as malformed.
@@ -113,19 +114,17 @@ class ServePipeline {
   ServePipeline& operator=(const ServePipeline&) = delete;
   ~ServePipeline();
 
-  /// Registers the calling producer thread; keep the handle alive for all
-  /// of its submits. (Consumers register themselves internally.)
-  [[nodiscard]] ReceiptStore::Handle register_producer() {
-    return store_.register_thread();
-  }
+  /// Returns the token a producer passes to submit(). Any number of
+  /// producers may register.
+  [[nodiscard]] ProducerHandle register_producer() { return {}; }
 
-  /// Enqueues one record, spinning under backpressure. Stamps
+  /// Enqueues one record, blocking under backpressure. Stamps
   /// `enqueued_ns` from the configured clock.
-  void submit(const ReceiptStore::Handle& handle, ExchangeRecord record);
+  void submit(const ProducerHandle& handle, ExchangeRecord record);
 
-  /// Call after every producer has finished submitting: waits for the
-  /// store to empty, stops the consumers, folds the OFCS chain, merges
-  /// per-consumer latency histograms. Idempotent.
+  /// Call after every producer has finished submitting: closes the queue,
+  /// lets the consumers settle what is left and stop, folds the OFCS
+  /// chain, merges per-consumer latency histograms. Idempotent.
   void drain();
 
   /// Stable only after drain().
@@ -141,10 +140,8 @@ class ServePipeline {
   [[nodiscard]] std::uint64_t rejected() const {
     return rejected_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::size_t store_depth() const {
-    return store_.approx_size();
-  }
-  [[nodiscard]] bool store_empty() const { return store_.empty_quiescent(); }
+  [[nodiscard]] std::size_t store_depth() const { return queue_.size(); }
+  [[nodiscard]] bool store_empty() const { return queue_.size() == 0; }
 
   /// Publishes the drained stats into a registry as serve.* counters,
   /// gauges, and the settle-latency percentile histogram.
@@ -163,7 +160,10 @@ class ServePipeline {
 
   /// Consumer-thread-private accumulation, merged once at drain.
   struct ConsumerState {
-    std::vector<CellReport> reports;
+    /// (cycle, cell)-sorted once the consumer stops. A deque grows in
+    /// fixed blocks, so holding many passes' reports never needs the
+    /// transient double copy of a growing vector.
+    std::deque<CellReport> reports;
     obs::LogHistogram latency;
   };
 
@@ -171,7 +171,7 @@ class ServePipeline {
   void settle(const ExchangeRecord& rec, ConsumerState* state);
 
   PipelineConfig config_;
-  ReceiptStore store_;
+  BoundedQueue<ExchangeRecord> queue_;
 
   std::atomic<std::uint64_t> ingested_{0};
   std::atomic<std::uint64_t> settled_{0};
@@ -184,7 +184,6 @@ class ServePipeline {
 
   std::vector<std::unique_ptr<ConsumerState>> consumer_states_;
   std::vector<std::thread> consumers_;
-  std::atomic<bool> stopping_{false};
   bool drained_ = false;
   PipelineStats stats_;
 };

@@ -27,7 +27,7 @@ struct DeviceCycleAcc {
 void produce_range(const ReplayConfig& config, DeviceFleet& fleet,
                    ServePipeline& pipeline, std::uint32_t cell_begin,
                    std::uint32_t cell_end, std::vector<TimePoint>& next_burst) {
-  ReceiptStore::Handle handle = pipeline.register_producer();
+  const ProducerHandle handle = pipeline.register_producer();
   const std::uint32_t dpc = fleet.devices_per_cell();
   const auto devices = static_cast<FleetDeviceId>(fleet.devices());
   const TimePoint horizon =
@@ -114,7 +114,6 @@ ReplayResult run_replay(const ReplayConfig& config) {
 
   PipelineConfig pipe_cfg;
   pipe_cfg.consumers = config.consumers;
-  pipe_cfg.max_producers = producers;
   pipe_cfg.store_capacity = config.store_capacity;
   pipe_cfg.cycles = config.cycles;
   pipe_cfg.loss_weight = config.loss_weight;

@@ -40,7 +40,6 @@ ExchangeRecord valid_settlement(std::uint32_t device, std::uint32_t cycle,
 PipelineConfig small_config() {
   PipelineConfig cfg;
   cfg.consumers = 2;
-  cfg.max_producers = 2;
   cfg.store_capacity = 64;
   cfg.cycles = 2;
   cfg.loss_weight = 0.5;
@@ -49,7 +48,7 @@ PipelineConfig small_config() {
 
 TEST(ServePipeline, AcceptsValidSettlementsAndAccumulates) {
   ServePipeline pipeline{small_config()};
-  ReceiptStore::Handle h = pipeline.register_producer();
+  const ProducerHandle h = pipeline.register_producer();
   pipeline.submit(h, valid_settlement(0, 0, 1000, 100));
   pipeline.submit(h, valid_settlement(1, 0, 2000, 0));
   pipeline.submit(h, valid_settlement(2, 1, 500, 500));
@@ -82,7 +81,7 @@ TEST(ServePipeline, AcceptsValidSettlementsAndAccumulates) {
 
 TEST(ServePipeline, RejectsRecordsThatFailRecomputation) {
   ServePipeline pipeline{small_config()};
-  ReceiptStore::Handle h = pipeline.register_producer();
+  const ProducerHandle h = pipeline.register_producer();
 
   ExchangeRecord tampered_bill = valid_settlement(0, 0, 1000, 100);
   tampered_bill.billed_tlc += 1;  // claims more than the views support
@@ -121,7 +120,7 @@ TEST(ServePipeline, CellReportsFoldIntoOfcsChainInCycleCellOrder) {
   PipelineConfig cfg = small_config();
   cfg.consumers = 1;  // ordering of the fold must NOT depend on this
   ServePipeline pipeline{cfg};
-  ReceiptStore::Handle h = pipeline.register_producer();
+  const ProducerHandle h = pipeline.register_producer();
 
   // Submit out of (cycle, cell) order; the drain-time sort canonicalises.
   const std::vector<CellReport> reports{
@@ -164,13 +163,12 @@ TEST(ServePipeline, ConservationHoldsUnderConcurrentProducers) {
   constexpr std::size_t kProducers = 4;
   constexpr std::uint64_t kPerProducer = 5'000;
   PipelineConfig cfg = small_config();
-  cfg.max_producers = kProducers;
   ServePipeline pipeline{cfg};
 
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&pipeline, p] {
-      ReceiptStore::Handle h = pipeline.register_producer();
+      const ProducerHandle h = pipeline.register_producer();
       for (std::uint64_t i = 0; i < kPerProducer; ++i) {
         ExchangeRecord rec = valid_settlement(
             static_cast<std::uint32_t>(p * kPerProducer + i),
@@ -198,7 +196,7 @@ TEST(ServePipeline, StampsSettleLatencyWhenClockProvided) {
   PipelineConfig cfg = small_config();
   cfg.clock = &clock;
   ServePipeline pipeline{cfg};
-  ReceiptStore::Handle h = pipeline.register_producer();
+  const ProducerHandle h = pipeline.register_producer();
   for (std::uint32_t d = 0; d < 10; ++d) {
     pipeline.submit(h, valid_settlement(d, 0, 1000, 50));
     clock.advance_by(std::chrono::microseconds{10});
@@ -209,7 +207,7 @@ TEST(ServePipeline, StampsSettleLatencyWhenClockProvided) {
 
 TEST(ServePipeline, NoClockMeansNoLatencySamples) {
   ServePipeline pipeline{small_config()};
-  ReceiptStore::Handle h = pipeline.register_producer();
+  const ProducerHandle h = pipeline.register_producer();
   pipeline.submit(h, valid_settlement(0, 0, 1000, 50));
   pipeline.drain();
   EXPECT_EQ(pipeline.stats().settle_latency.count(), 0u);
@@ -217,7 +215,7 @@ TEST(ServePipeline, NoClockMeansNoLatencySamples) {
 
 TEST(ServePipeline, PublishExportsServeCounters) {
   ServePipeline pipeline{small_config()};
-  ReceiptStore::Handle h = pipeline.register_producer();
+  const ProducerHandle h = pipeline.register_producer();
   pipeline.submit(h, valid_settlement(0, 0, 1000, 100));
   ExchangeRecord bad = valid_settlement(1, 0, 1000, 100);
   bad.billed_tlc += 3;
@@ -249,7 +247,7 @@ TEST(ServePipeline, PublishExportsServeCounters) {
 
 TEST(ServePipeline, DrainIsIdempotentAndDestructorSafe) {
   ServePipeline pipeline{small_config()};
-  ReceiptStore::Handle h = pipeline.register_producer();
+  const ProducerHandle h = pipeline.register_producer();
   pipeline.submit(h, valid_settlement(0, 0, 1000, 0));
   pipeline.drain();
   const std::uint64_t first = pipeline.stats().ingested;

@@ -62,9 +62,7 @@ fi
 
 if [ -n "$new_serve" ] && [ -f "$new_serve" ]; then
   compare "$new_serve" "$repo_root/BENCH_serve.json" \
-    "store_mpmc_threads1_ops_per_sec"
-  compare "$new_serve" "$repo_root/BENCH_serve.json" \
-    "store_fc_threads1_ops_per_sec"
+    "queue_threads1_ops_per_sec"
   compare "$new_serve" "$repo_root/BENCH_serve.json" \
     "serve_threads1_records_per_sec"
   compare "$new_serve" "$repo_root/BENCH_serve.json" \
