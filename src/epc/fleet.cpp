@@ -137,25 +137,23 @@ TLC_HOT DeviceFleet::SettleTotals DeviceFleet::settle_range(
     // The charging gap this cycle: the gateway view can only exceed the
     // device view (losses happen downstream of the P-GW).
     const std::uint64_t gap = charged - delivered;
-    const std::uint64_t tlc_bill =
-        delivered + static_cast<std::uint64_t>(
-                        loss_weight * static_cast<double>(gap));
+    const std::uint64_t bill = tlc_bill(charged, delivered, loss_weight);
     billed_legacy_[d] += charged;
-    billed_tlc_[d] += tlc_bill;
+    billed_tlc_[d] += bill;
     // Per-device PoC chain: the settlement transcript, folded in cycle
     // order — any divergent charge or delivery changes every later link.
     std::uint64_t h = poc_[d];
     h = fnv1a64(h, cycle);
     h = fnv1a64(h, charged);
     h = fnv1a64(h, delivered);
-    h = fnv1a64(h, tlc_bill);
+    h = fnv1a64(h, bill);
     poc_[d] = h;
 
     totals.charged_dl += charged;
     totals.delivered_dl += delivered;
     totals.gap_dl += gap;
     totals.billed_legacy += charged;
-    totals.billed_tlc += tlc_bill;
+    totals.billed_tlc += bill;
     totals.charged_ul += cdr_ul_[d];
 
     cdr_dl_[d] = 0;

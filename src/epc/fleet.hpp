@@ -69,6 +69,42 @@ struct FleetTrafficParams {
 }
 inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
+/// Algorithm 1's TLC bill for one settlement: the delivered volume plus
+/// the `loss_weight` share of the disputed gap, floor-rounded. The fleet's
+/// cycle settlement and the serve pipeline's recomputation check both bill
+/// through this one rule. Requires delivered <= charged.
+[[nodiscard]] constexpr std::uint64_t tlc_bill(std::uint64_t charged,
+                                               std::uint64_t delivered,
+                                               double loss_weight) {
+  const auto gap = static_cast<double>(charged - delivered);
+  return delivered + static_cast<std::uint64_t>(loss_weight * gap);
+}
+
+/// The OFCS aggregator over per-cell cycle reports: an FNV chain over
+/// (cycle, cell, charged, delivered) in fold order, plus a count of the
+/// reports whose gap exceeds kFlagGapRatio of the charged volume (the
+/// fleet-scale analogue of the per-device dispute threshold). The sharded
+/// fleet run and the serve pipeline's drain both fold through it, so their
+/// chains and flag counts compare equal. Requires delivered <= charged.
+struct OfcsFold {
+  static constexpr double kFlagGapRatio = 0.25;
+
+  std::uint64_t chain = kFnvBasis;
+  std::uint64_t flagged = 0;
+
+  constexpr void add(std::uint64_t cycle, std::uint64_t cell,
+                     std::uint64_t charged, std::uint64_t delivered) {
+    chain = fnv1a64(chain, cycle);
+    chain = fnv1a64(chain, cell);
+    chain = fnv1a64(chain, charged);
+    chain = fnv1a64(chain, delivered);
+    if (charged > 0 && static_cast<double>(charged - delivered) >
+                           kFlagGapRatio * static_cast<double>(charged)) {
+      ++flagged;
+    }
+  }
+};
+
 class DeviceFleet {
  public:
   /// Builds the columns for `devices` UEs grouped `devices_per_cell` to a

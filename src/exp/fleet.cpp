@@ -14,13 +14,6 @@ namespace {
 
 using epc::DeviceFleet;
 using epc::FleetDeviceId;
-using epc::fnv1a64;
-using epc::kFnvBasis;
-
-/// A cell report whose charging gap exceeds this fraction of the charged
-/// volume gets flagged by the aggregator (the fleet-scale analogue of the
-/// per-device dispute threshold).
-constexpr double kFlagGapRatio = 0.25;
 
 /// Per-shard hot-path state: the metrics registry plus the counters
 /// resolved once at init, and the shard's cell/device ranges.
@@ -59,8 +52,7 @@ struct FleetCtx {
   /// cycle_acc[shard][cycle], each written only by its shard's thread.
   std::vector<std::vector<DeviceFleet::SettleTotals>> cycle_acc;
   // OFCS aggregator state, touched only by shard 0's events.
-  std::uint64_t ofcs_chain = kFnvBasis;
-  std::uint64_t flagged = 0;
+  epc::OfcsFold ofcs;
 };
 
 void schedule_burst(FleetCtx& ctx, std::uint32_t s, FleetDeviceId d,
@@ -80,23 +72,6 @@ void schedule_burst(FleetCtx& ctx, std::uint32_t s, FleetDeviceId d,
     const TimePoint next = at + out.next_gap;
     if (next < ctx.horizon) schedule_burst(ctx, s, d, next);
   }});
-}
-
-/// Folds one per-cell cycle report into the OFCS aggregator chain. Runs on
-/// shard 0; arrival order is the deterministic (deliver_at, cell) merge.
-void aggregate_report(FleetCtx& ctx, std::uint64_t cycle, std::uint32_t cell,
-                      std::uint64_t charged, std::uint64_t delivered) {
-  std::uint64_t h = ctx.ofcs_chain;
-  h = fnv1a64(h, cycle);
-  h = fnv1a64(h, cell);
-  h = fnv1a64(h, charged);
-  h = fnv1a64(h, delivered);
-  ctx.ofcs_chain = h;
-  const std::uint64_t gap = charged - delivered;
-  if (charged > 0 &&
-      static_cast<double>(gap) > kFlagGapRatio * static_cast<double>(charged)) {
-    ++ctx.flagged;
-  }
 }
 
 void schedule_settle(FleetCtx& ctx, std::uint32_t s, std::uint32_t cycle) {
@@ -119,7 +94,9 @@ void schedule_settle(FleetCtx& ctx, std::uint32_t s, std::uint32_t cycle) {
           ctx.runner.post(
               s, 0, when + ctx.config.backhaul_latency, cell,
               sim::InlineCallback{[&ctx, cycle, cell, charged, delivered] {
-                aggregate_report(ctx, cycle, cell, charged, delivered);
+                // Shard 0 folds reports in the deterministic
+                // (deliver_at, cell) merge order.
+                ctx.ofcs.add(cycle, cell, charged, delivered);
               }});
         }
       }});
@@ -237,8 +214,8 @@ FleetResult run_fleet(const FleetConfig& config) {
     result.billed_tlc += row.billed_tlc;
   }
   result.digest = ctx.fleet.digest();
-  result.ofcs_chain = ctx.ofcs_chain;
-  result.flagged_reports = ctx.flagged;
+  result.ofcs_chain = ctx.ofcs.chain;
+  result.flagged_reports = ctx.ofcs.flagged;
   for (const auto& ss : ctx.shards) {
     result.metrics.merge_counters_from(ss->registry.snapshot());
   }

@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "common/hot.hpp"
-#include "epc/fleet.hpp"  // fnv1a64 / kFnvBasis for the OFCS fold
+#include "epc/fleet.hpp"  // tlc_bill and OfcsFold
 
 namespace tlc::serve {
 namespace {
-
-/// Aggregator flag threshold — must match exp/fleet.cpp's kFlagGapRatio,
-/// or the serve-vs-batch cross-check in tools/tlc_serve.cpp diverges.
-constexpr double kFlagGapRatio = 0.25;
 
 /// The OFCS fold order: (cycle, cell) — exactly the deterministic merge
 /// order of the sharded batch runner (all of a cycle's reports share one
@@ -23,19 +20,22 @@ bool fold_before(const CellReport& a, const CellReport& b) {
   return a.cell < b.cell;
 }
 
+void add_row(PipelineCycleRow& into, const PipelineCycleRow& from) {
+  into.charged_dl += from.charged_dl;
+  into.delivered_dl += from.delivered_dl;
+  into.gap_dl += from.gap_dl;
+  into.billed_legacy += from.billed_legacy;
+  into.billed_tlc += from.billed_tlc;
+  into.charged_ul += from.charged_ul;
+  into.settled_devices += from.settled_devices;
+}
+
 }  // namespace
 
 ServePipeline::ServePipeline(PipelineConfig config)
     : config_(config), queue_(config.store_capacity) {
   if (config_.consumers == 0) config_.consumers = 1;
-  cycle_rows_.reserve(config_.cycles);
-  for (std::uint32_t c = 0; c < config_.cycles; ++c) {
-    cycle_rows_.push_back(std::make_unique<CycleAtomics>());
-  }
-  consumer_states_.reserve(config_.consumers);
-  for (std::size_t i = 0; i < config_.consumers; ++i) {
-    consumer_states_.push_back(std::make_unique<ConsumerState>());
-  }
+  consumer_states_.resize(config_.consumers);
   consumers_.reserve(config_.consumers);
   for (std::size_t i = 0; i < config_.consumers; ++i) {
     consumers_.emplace_back([this, i] { consume(i); });
@@ -57,30 +57,42 @@ TLC_HOT void ServePipeline::submit(const ProducerHandle& /*handle*/,
 }
 
 void ServePipeline::consume(std::size_t consumer_index) {
-  ConsumerState* state = consumer_states_[consumer_index].get();
+  // Built on this thread, so the tally, its rows and histogram buckets come
+  // from this thread's allocations and never share a line with another
+  // consumer's.
+  auto state = std::make_unique<ConsumerState>();
+  state->tally.cycle_rows.resize(config_.cycles);
   std::vector<ExchangeRecord> batch;
   batch.reserve(kPopBatch);
   // pop_batch() returns 0 only once drain() closed the queue and it is
   // empty; all submits happen-before that close.
   while (queue_.pop_batch(batch, kPopBatch) > 0) {
-    for (const ExchangeRecord& rec : batch) settle(rec, state);
+    for (const ExchangeRecord& rec : batch) settle(rec, state.get());
   }
   std::sort(state->reports.begin(), state->reports.end(), fold_before);
+  consumer_states_[consumer_index] = std::move(state);
 }
 
 void ServePipeline::settle(const ExchangeRecord& rec, ConsumerState* state) {
+  PipelineStats& t = state->tally;
   if (config_.clock != nullptr && rec.enqueued_ns != 0) {
     const std::int64_t now_ns =
         (config_.clock->now() - kTimeZero).count();
     const std::int64_t lat = now_ns - rec.enqueued_ns;
-    state->latency.observe(lat < 0 ? 0 : static_cast<std::uint64_t>(lat));
+    t.settle_latency.observe(lat < 0 ? 0 : static_cast<std::uint64_t>(lat));
   }
 
+  // Both kinds must name a configured cycle and carry a non-negative gap;
+  // anything else is malformed and counted as rejected, never folded.
+  if (rec.cycle >= config_.cycles || rec.delivered_dl > rec.charged_dl) {
+    ++t.rejected;
+    return;
+  }
   if (rec.kind == RecordKind::kCellReport) {
     state->reports.push_back(CellReport{rec.cycle, rec.cell, rec.charged_dl,
                                         rec.delivered_dl});
-    cell_reports_.fetch_add(1, std::memory_order_relaxed);
-    settled_.fetch_add(1, std::memory_order_relaxed);
+    ++t.cell_reports;
+    ++t.settled;
     return;
   }
 
@@ -88,45 +100,33 @@ void ServePipeline::settle(const ExchangeRecord& rec, ConsumerState* state) {
   // verifier's Algorithm 2 re-derivation): the record carries both raw
   // views and the bills someone claims they settle to — accept only if the
   // bills recompute from the views under this pipeline's loss_weight.
-  const bool views_sane = rec.cycle < config_.cycles &&
-                          rec.delivered_dl <= rec.charged_dl;
-  const std::uint64_t gap =
-      views_sane ? rec.charged_dl - rec.delivered_dl : 0;
+  const std::uint64_t gap = rec.charged_dl - rec.delivered_dl;
   std::uint64_t cause_sum = 0;
   for (std::uint64_t bytes : rec.gap_by_cause) cause_sum += bytes;
-  const std::uint64_t expected_tlc =
-      rec.delivered_dl +
-      static_cast<std::uint64_t>(config_.loss_weight *
-                                 static_cast<double>(gap));
-  const bool ok = views_sane && cause_sum == gap &&
-                  rec.billed_legacy == rec.charged_dl &&
-                  rec.billed_tlc == expected_tlc;
-  if (!ok) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+  if (cause_sum != gap || rec.billed_legacy != rec.charged_dl ||
+      rec.billed_tlc != epc::tlc_bill(rec.charged_dl, rec.delivered_dl,
+                                      config_.loss_weight)) {
+    ++t.rejected;
     return;
   }
 
-  CycleAtomics& row = *cycle_rows_[rec.cycle];
-  row.charged_dl.fetch_add(rec.charged_dl, std::memory_order_relaxed);
-  row.delivered_dl.fetch_add(rec.delivered_dl, std::memory_order_relaxed);
-  row.gap_dl.fetch_add(gap, std::memory_order_relaxed);
-  row.billed_legacy.fetch_add(rec.billed_legacy, std::memory_order_relaxed);
-  row.billed_tlc.fetch_add(rec.billed_tlc, std::memory_order_relaxed);
-  row.charged_ul.fetch_add(rec.charged_ul, std::memory_order_relaxed);
-  row.settled_devices.fetch_add(1, std::memory_order_relaxed);
+  PipelineCycleRow& row = t.cycle_rows[rec.cycle];
+  row.charged_dl += rec.charged_dl;
+  row.delivered_dl += rec.delivered_dl;
+  row.gap_dl += gap;
+  row.billed_legacy += rec.billed_legacy;
+  row.billed_tlc += rec.billed_tlc;
+  row.charged_ul += rec.charged_ul;
+  ++row.settled_devices;
 
-  gap_counters_.add(GapCause::kDisconnect,
-                    rec.gap_by_cause[static_cast<std::size_t>(
-                        GapCause::kDisconnect)]);
-  gap_counters_.add(
-      GapCause::kRadio,
-      rec.gap_by_cause[static_cast<std::size_t>(GapCause::kRadio)]);
-  gap_counters_.add(
-      GapCause::kHandover,
-      rec.gap_by_cause[static_cast<std::size_t>(GapCause::kHandover)]);
-  bursts_.fetch_add(rec.bursts, std::memory_order_relaxed);
-  reconnects_.fetch_add(rec.reconnects, std::memory_order_relaxed);
-  settled_.fetch_add(1, std::memory_order_relaxed);
+  t.gap_disconnect +=
+      rec.gap_by_cause[static_cast<std::size_t>(GapCause::kDisconnect)];
+  t.gap_radio += rec.gap_by_cause[static_cast<std::size_t>(GapCause::kRadio)];
+  t.gap_handover +=
+      rec.gap_by_cause[static_cast<std::size_t>(GapCause::kHandover)];
+  t.bursts += rec.bursts;
+  t.reconnects += rec.reconnects;
+  ++t.settled;
 }
 
 void ServePipeline::drain() {
@@ -139,45 +139,37 @@ void ServePipeline::drain() {
   assert(queue_.size() == 0);
 
   stats_.ingested = ingested_.load(std::memory_order_relaxed);
-  stats_.settled = settled_.load(std::memory_order_relaxed);
-  stats_.rejected = rejected_.load(std::memory_order_relaxed);
-  stats_.cell_reports = cell_reports_.load(std::memory_order_relaxed);
-  stats_.bursts = bursts_.load(std::memory_order_relaxed);
-  stats_.reconnects = reconnects_.load(std::memory_order_relaxed);
-  stats_.gap_disconnect = gap_counters_.total(GapCause::kDisconnect);
-  stats_.gap_radio = gap_counters_.total(GapCause::kRadio);
-  stats_.gap_handover = gap_counters_.total(GapCause::kHandover);
-
-  stats_.cycle_rows.resize(cycle_rows_.size());
-  for (std::size_t c = 0; c < cycle_rows_.size(); ++c) {
-    const CycleAtomics& row = *cycle_rows_[c];
-    PipelineCycleRow& out = stats_.cycle_rows[c];
-    out.charged_dl = row.charged_dl.load(std::memory_order_relaxed);
-    out.delivered_dl = row.delivered_dl.load(std::memory_order_relaxed);
-    out.gap_dl = row.gap_dl.load(std::memory_order_relaxed);
-    out.billed_legacy = row.billed_legacy.load(std::memory_order_relaxed);
-    out.billed_tlc = row.billed_tlc.load(std::memory_order_relaxed);
-    out.charged_ul = row.charged_ul.load(std::memory_order_relaxed);
-    out.settled_devices =
-        row.settled_devices.load(std::memory_order_relaxed);
-    stats_.charged_dl += out.charged_dl;
-    stats_.delivered_dl += out.delivered_dl;
-    stats_.gap_dl += out.gap_dl;
-    stats_.billed_legacy += out.billed_legacy;
-    stats_.billed_tlc += out.billed_tlc;
-    stats_.charged_ul += out.charged_ul;
+  stats_.cycle_rows.resize(config_.cycles);
+  for (const auto& state : consumer_states_) {
+    const PipelineStats& t = state->tally;
+    stats_.settled += t.settled;
+    stats_.rejected += t.rejected;
+    stats_.cell_reports += t.cell_reports;
+    stats_.bursts += t.bursts;
+    stats_.reconnects += t.reconnects;
+    stats_.gap_disconnect += t.gap_disconnect;
+    stats_.gap_radio += t.gap_radio;
+    stats_.gap_handover += t.gap_handover;
+    for (std::size_t c = 0; c < t.cycle_rows.size(); ++c) {
+      add_row(stats_.cycle_rows[c], t.cycle_rows[c]);
+    }
+    stats_.settle_latency.merge_from(t.settle_latency);
   }
 
-  for (const auto& state : consumer_states_) {
-    stats_.settle_latency.merge_from(state->latency);
+  for (const PipelineCycleRow& row : stats_.cycle_rows) {
+    stats_.charged_dl += row.charged_dl;
+    stats_.delivered_dl += row.delivered_dl;
+    stats_.gap_dl += row.gap_dl;
+    stats_.billed_legacy += row.billed_legacy;
+    stats_.billed_tlc += row.billed_tlc;
+    stats_.charged_ul += row.charged_ul;
   }
 
   // OFCS fold: a k-way merge over the consumers' (cycle, cell)-sorted
-  // report runs, folding the same four words exp/fleet.cpp folds — no
-  // merged copy of the reports is ever built.
+  // report runs, through the same epc::OfcsFold the batch runner uses —
+  // no merged copy of the reports is ever built.
   std::vector<std::size_t> next(consumer_states_.size(), 0);
-  std::uint64_t chain = epc::kFnvBasis;
-  std::uint64_t flagged = 0;
+  epc::OfcsFold fold;
   for (;;) {
     const CellReport* min = nullptr;
     std::size_t from = 0;
@@ -191,20 +183,10 @@ void ServePipeline::drain() {
     }
     if (min == nullptr) break;
     ++next[from];
-    const CellReport& r = *min;
-    chain = epc::fnv1a64(chain, r.cycle);
-    chain = epc::fnv1a64(chain, r.cell);
-    chain = epc::fnv1a64(chain, r.charged_dl);
-    chain = epc::fnv1a64(chain, r.delivered_dl);
-    const std::uint64_t gap = r.charged_dl - r.delivered_dl;
-    if (r.charged_dl > 0 &&
-        static_cast<double>(gap) >
-            kFlagGapRatio * static_cast<double>(r.charged_dl)) {
-      ++flagged;
-    }
+    fold.add(min->cycle, min->cell, min->charged_dl, min->delivered_dl);
   }
-  stats_.ofcs_chain = chain;
-  stats_.flagged_reports = flagged;
+  stats_.ofcs_chain = fold.chain;
+  stats_.flagged_reports = fold.flagged;
 }
 
 void ServePipeline::publish(obs::MetricsRegistry* registry) const {

@@ -4,16 +4,17 @@
 // Producers (ingest threads, the fleet replay, bench_serve) submit
 // ExchangeRecords; a pool of consumer threads dequeues each record and
 // *settles* it: the consumer re-derives the TLC bill from the record's own
-// charged/delivered views (Algorithm 1's split) and accepts only records
-// whose claimed bills recompute exactly — the live analogue of the
-// recomputation check the batch verifier applies to PoC receipts. Accepted
-// settlements accumulate into per-cycle totals, per-cause gap counters,
-// and fleet-wide sums; kCellReport records queue for the OFCS aggregation
-// fold at drain time.
+// charged/delivered views (Algorithm 1's split, epc::tlc_bill) and accepts
+// only records whose claimed bills recompute exactly — the live analogue of
+// the recomputation check the batch verifier applies to PoC receipts.
+// Accepted settlements accumulate into per-cycle totals, per-cause gap
+// sums, and fleet-wide sums; kCellReport records queue for the OFCS
+// aggregation fold (epc::OfcsFold) at drain time.
 //
 // Invariant (CI-gated by bench_serve): every submitted record is accounted
-// exactly once — ingested() == settled() + rejected() — and the queue
-// drains empty.
+// exactly once — stats().ingested == settled + rejected — and the queue
+// drains empty. `ingested` is counted by submit(), the other two by the
+// consumers, so the identity is a real cross-check.
 //
 // Concurrency contract:
 //   * submit() may run from many producer threads; it blocks under
@@ -23,10 +24,12 @@
 //   * all submits happen-before drain(): the caller stops its producers,
 //     then drains. After drain() returns, the stats accessors are stable
 //     and single-threaded reads;
-//   * totals use relaxed atomics — they are commutative sums, so thread
-//     interleaving cannot change the drained values. Latency histograms
-//     and cell reports are per-consumer and merged at drain, so settling
-//     takes no lock beyond the queue's.
+//   * each consumer settles into its own private tally (plain sums, per-cycle
+//     rows, latency histogram, cell reports), allocated by that consumer's
+//     thread so two tallies never share a cache line. drain() joins the
+//     consumers and merges the tallies once; the sums are commutative, so
+//     thread interleaving cannot change the drained values. Settling takes
+//     no lock beyond the queue's and touches no shared counter.
 #pragma once
 
 #include <atomic>
@@ -47,8 +50,8 @@ struct PipelineConfig {
   std::size_t consumers = 2;
   /// Bounded in-flight records; submit() blocks when full.
   std::size_t store_capacity = 4096;
-  /// Pre-sizes the per-cycle accumulator rows; records with cycle ≥ this
-  /// are rejected as malformed.
+  /// Pre-sizes the per-cycle accumulator rows; settlements and cell
+  /// reports with cycle ≥ this are rejected as malformed.
   std::uint32_t cycles = 4;
   /// Algorithm 1 gap split used for the settlement recomputation check.
   double loss_weight = 0.5;
@@ -81,7 +84,7 @@ struct CellReport {
 struct PipelineStats {
   std::uint64_t ingested = 0;
   std::uint64_t settled = 0;   // accepted settlement records
-  std::uint64_t rejected = 0;  // failed the recomputation check
+  std::uint64_t rejected = 0;  // failed the recomputation/validity check
   std::uint64_t cell_reports = 0;
 
   std::uint64_t charged_dl = 0;
@@ -130,16 +133,6 @@ class ServePipeline {
   /// Stable only after drain().
   [[nodiscard]] const PipelineStats& stats() const { return stats_; }
 
-  /// Live (racy, monotone) counters, readable at any time.
-  [[nodiscard]] std::uint64_t ingested() const {
-    return ingested_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t settled() const {
-    return settled_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t rejected() const {
-    return rejected_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::size_t store_depth() const { return queue_.size(); }
   [[nodiscard]] bool store_empty() const { return queue_.size() == 0; }
 
@@ -148,23 +141,16 @@ class ServePipeline {
   void publish(obs::MetricsRegistry* registry) const;
 
  private:
-  struct CycleAtomics {
-    std::atomic<std::uint64_t> charged_dl{0};
-    std::atomic<std::uint64_t> delivered_dl{0};
-    std::atomic<std::uint64_t> gap_dl{0};
-    std::atomic<std::uint64_t> billed_legacy{0};
-    std::atomic<std::uint64_t> billed_tlc{0};
-    std::atomic<std::uint64_t> charged_ul{0};
-    std::atomic<std::uint64_t> settled_devices{0};
-  };
-
   /// Consumer-thread-private accumulation, merged once at drain.
   struct ConsumerState {
+    /// Plain sums of this consumer's settlements: counts, per-cause gaps,
+    /// per-cycle rows (sized to `cycles`) and enqueue→settle latency. The
+    /// fleet-wide byte totals are derived from the merged rows at drain.
+    PipelineStats tally;
     /// (cycle, cell)-sorted once the consumer stops. A deque grows in
     /// fixed blocks, so holding many passes' reports never needs the
     /// transient double copy of a growing vector.
     std::deque<CellReport> reports;
-    obs::LogHistogram latency;
   };
 
   void consume(std::size_t consumer_index);
@@ -174,14 +160,8 @@ class ServePipeline {
   BoundedQueue<ExchangeRecord> queue_;
 
   std::atomic<std::uint64_t> ingested_{0};
-  std::atomic<std::uint64_t> settled_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> cell_reports_{0};
-  std::atomic<std::uint64_t> bursts_{0};
-  std::atomic<std::uint64_t> reconnects_{0};
-  GapCounters gap_counters_;
-  std::vector<std::unique_ptr<CycleAtomics>> cycle_rows_;
 
+  /// Slot i is filled by consumer i when it stops; read after the join.
   std::vector<std::unique_ptr<ConsumerState>> consumer_states_;
   std::vector<std::thread> consumers_;
   bool drained_ = false;

@@ -103,17 +103,32 @@ TEST(ServePipeline, RejectsRecordsThatFailRecomputation) {
   inflated.delivered_dl = 2000;  // delivered > charged is malformed
   pipeline.submit(h, inflated);
 
+  ExchangeRecord late_report;
+  late_report.kind = RecordKind::kCellReport;
+  late_report.cycle = 2;  // out of range for cycles = 2
+  late_report.charged_dl = 1000;
+  late_report.delivered_dl = 900;
+  pipeline.submit(h, late_report);
+
+  ExchangeRecord inflated_report = late_report;
+  inflated_report.cycle = 0;
+  inflated_report.delivered_dl = 1001;  // would underflow the fold's gap
+  pipeline.submit(h, inflated_report);
+
   pipeline.submit(h, valid_settlement(5, 0, 1000, 100));  // control
   pipeline.drain();
 
   const PipelineStats& s = pipeline.stats();
-  EXPECT_EQ(s.ingested, 6u);
-  EXPECT_EQ(s.rejected, 5u);
+  EXPECT_EQ(s.ingested, 8u);
+  EXPECT_EQ(s.rejected, 7u);
   EXPECT_EQ(s.settled, 1u);
   EXPECT_EQ(s.ingested, s.settled + s.rejected);
   // Rejected records must not leak into any accumulator.
   EXPECT_EQ(s.charged_dl, 1000u);
   EXPECT_EQ(s.cycle_rows[0].settled_devices, 1u);
+  EXPECT_EQ(s.cell_reports, 0u);
+  EXPECT_EQ(s.flagged_reports, 0u);
+  EXPECT_EQ(s.ofcs_chain, epc::kFnvBasis);
 }
 
 TEST(ServePipeline, CellReportsFoldIntoOfcsChainInCycleCellOrder) {
@@ -163,23 +178,56 @@ TEST(ServePipeline, ConservationHoldsUnderConcurrentProducers) {
   constexpr std::size_t kProducers = 4;
   constexpr std::uint64_t kPerProducer = 5'000;
   PipelineConfig cfg = small_config();
+  ASSERT_GE(cfg.consumers, 2u);  // the tally merge needs several consumers
   ServePipeline pipeline{cfg};
+
+  // Record i of producer p; every 10th carries a tampered bill.
+  auto record = [](std::size_t p, std::uint64_t i) {
+    ExchangeRecord rec = valid_settlement(
+        static_cast<std::uint32_t>(p * kPerProducer + i),
+        static_cast<std::uint32_t>(i % 2), 1000 + i % 7, i % 200);
+    rec.bursts = static_cast<std::uint32_t>(i % 5);
+    if (i % 10 == 0) rec.billed_tlc += 1;
+    return rec;
+  };
 
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&pipeline, p] {
+    producers.emplace_back([&pipeline, &record, p] {
       const ProducerHandle h = pipeline.register_producer();
       for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        ExchangeRecord rec = valid_settlement(
-            static_cast<std::uint32_t>(p * kPerProducer + i),
-            static_cast<std::uint32_t>(i % 2), 1000, i % 200);
-        if (i % 10 == 0) rec.billed_tlc += 1;  // tamper every 10th
-        pipeline.submit(h, rec);
+        pipeline.submit(h, record(p, i));
       }
     });
   }
   for (std::thread& t : producers) t.join();
   pipeline.drain();
+
+  // The same records summed on this thread: what the merged per-consumer
+  // tallies must add up to.
+  std::vector<PipelineCycleRow> rows(cfg.cycles);
+  std::uint64_t causes[kGapCauseCount] = {0, 0, 0};
+  std::uint64_t bursts = 0;
+  std::uint64_t reconnects = 0;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+      if (i % 10 == 0) continue;  // rejected
+      const ExchangeRecord rec = record(p, i);
+      PipelineCycleRow& row = rows[rec.cycle];
+      row.charged_dl += rec.charged_dl;
+      row.delivered_dl += rec.delivered_dl;
+      row.gap_dl += rec.charged_dl - rec.delivered_dl;
+      row.billed_legacy += rec.billed_legacy;
+      row.billed_tlc += rec.billed_tlc;
+      row.charged_ul += rec.charged_ul;
+      row.settled_devices += 1;
+      for (std::size_t c = 0; c < kGapCauseCount; ++c) {
+        causes[c] += rec.gap_by_cause[c];
+      }
+      bursts += rec.bursts;
+      reconnects += rec.reconnects;
+    }
+  }
 
   const PipelineStats& s = pipeline.stats();
   EXPECT_EQ(s.ingested, kProducers * kPerProducer);
@@ -187,6 +235,32 @@ TEST(ServePipeline, ConservationHoldsUnderConcurrentProducers) {
   EXPECT_EQ(s.rejected, kProducers * (kPerProducer / 10));
   EXPECT_TRUE(pipeline.store_empty());
   EXPECT_EQ(pipeline.store_depth(), 0u);
+
+  ASSERT_EQ(s.cycle_rows.size(), rows.size());
+  std::uint64_t charged = 0;
+  std::uint64_t tlc = 0;
+  for (std::size_t c = 0; c < rows.size(); ++c) {
+    SCOPED_TRACE(c);
+    EXPECT_EQ(s.cycle_rows[c].charged_dl, rows[c].charged_dl);
+    EXPECT_EQ(s.cycle_rows[c].delivered_dl, rows[c].delivered_dl);
+    EXPECT_EQ(s.cycle_rows[c].gap_dl, rows[c].gap_dl);
+    EXPECT_EQ(s.cycle_rows[c].billed_legacy, rows[c].billed_legacy);
+    EXPECT_EQ(s.cycle_rows[c].billed_tlc, rows[c].billed_tlc);
+    EXPECT_EQ(s.cycle_rows[c].charged_ul, rows[c].charged_ul);
+    EXPECT_EQ(s.cycle_rows[c].settled_devices, rows[c].settled_devices);
+    charged += rows[c].charged_dl;
+    tlc += rows[c].billed_tlc;
+  }
+  EXPECT_EQ(s.charged_dl, charged);
+  EXPECT_EQ(s.billed_tlc, tlc);
+  EXPECT_EQ(s.gap_disconnect,
+            causes[static_cast<std::size_t>(GapCause::kDisconnect)]);
+  EXPECT_EQ(s.gap_radio, causes[static_cast<std::size_t>(GapCause::kRadio)]);
+  EXPECT_EQ(s.gap_handover,
+            causes[static_cast<std::size_t>(GapCause::kHandover)]);
+  EXPECT_EQ(s.gap_disconnect + s.gap_radio + s.gap_handover, s.gap_dl);
+  EXPECT_EQ(s.bursts, bursts);
+  EXPECT_EQ(s.reconnects, reconnects);
 }
 
 TEST(ServePipeline, StampsSettleLatencyWhenClockProvided) {

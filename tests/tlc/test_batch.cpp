@@ -236,6 +236,20 @@ TEST_F(BatchTest, VerifierRejectsChainViolations) {
     EXPECT_EQ(v.verify_batch(batches[0]).head,
               BatchVerifyResult::kStaleHead);
   }
+  {  // Forged head mid-chain (edited count): rejected without advancing
+     // the chain, so the genuine batch still verifies right after it.
+    ReceiptBatch forged = batches[1];
+    forged.head.count += 1;
+    BatchedVerifier v = make_batched_verifier();
+    ASSERT_EQ(v.verify_batch(batches[0]).head, BatchVerifyResult::kOk);
+    EXPECT_EQ(v.verify_batch(forged).head, BatchVerifyResult::kCountMismatch);
+    EXPECT_EQ(v.next_batch_index(), 1u);
+    const BatchAudit genuine = v.verify_batch(batches[1]);
+    EXPECT_EQ(genuine.head, BatchVerifyResult::kOk);
+    EXPECT_EQ(genuine.accepted, 2u);
+    EXPECT_EQ(v.heads_accepted(), 2u);
+    EXPECT_EQ(v.heads_rejected(), 1u);
+  }
   {  // Count lies about the entries carried.
     ReceiptBatch lying = batches[0];
     lying.entries.pop_back();
