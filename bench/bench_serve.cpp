@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "provenance.hpp"
 #include "serve/harness.hpp"
 #include "serve/pipeline.hpp"
 #include "serve/queue.hpp"
@@ -39,14 +40,6 @@ using namespace tlc;
 using namespace tlc::serve;
 
 namespace {
-
-#if defined(__clang__)
-constexpr const char* kCompiler = "clang " __clang_version__;
-#elif defined(__GNUC__)
-constexpr const char* kCompiler = "gcc " __VERSION__;
-#else
-constexpr const char* kCompiler = "unknown";
-#endif
 
 struct Options {
   std::vector<std::size_t> threads{1, 2, 4};
@@ -230,7 +223,7 @@ int main(int argc, char** argv) {
   const unsigned cpus = std::thread::hardware_concurrency();
 
   std::printf("## serve interval throughput (%u cpus, %s, %s)\n\n", cpus,
-              kCompiler, TLC_BENCH_BUILD_TYPE);
+              bench::kCompiler, bench::kBuildType);
 
   std::vector<HarnessResult> queue_rows;
   std::vector<HarnessResult> pipe_rows;
@@ -245,16 +238,12 @@ int main(int argc, char** argv) {
 
   std::FILE* out = std::fopen("BENCH_serve.json", "w");
   if (out != nullptr) {
+    std::fprintf(out, "{\n");
+    bench::write_provenance_json(out, cpus);
     std::fprintf(out,
-                 "{\n"
-                 "  \"cpus\": %u,\n"
-                 "  \"compiler\": \"%s\",\n"
-                 "  \"build_type\": \"%s\",\n"
-                 "  \"git_sha\": \"%s\",\n"
                  "  \"pinned\": %s,\n"
                  "  \"consumers\": %zu,\n"
                  "  \"intervals\": %zu,\n",
-                 cpus, kCompiler, TLC_BENCH_BUILD_TYPE, TLC_BENCH_GIT_SHA,
                  opt.pin ? "true" : "false", opt.consumers, opt.intervals);
     for (const HarnessResult& r : queue_rows) {
       std::fprintf(out,

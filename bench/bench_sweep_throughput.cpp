@@ -5,13 +5,17 @@
 // TLC_JOBS / hardware_concurrency). Verifies the two runs are
 // byte-identical via results_fingerprint, then reports scenarios/sec,
 // events/sec (summed sim.sched.dispatched counters), and the speedup,
-// both to stdout and to BENCH_sweep.json in the working directory.
+// both to stdout and to BENCH_sweep.json in the working directory. The
+// JSON is stamped with the host and build it came from (CPU count,
+// compiler, build type, git revision), so tools/check_bench_regression.sh
+// compares it only against a baseline taken on as many CPUs.
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 
 #include "exp/sweep.hpp"
+#include "provenance.hpp"
 
 using namespace tlc;
 using namespace tlc::exp;
@@ -68,11 +72,11 @@ int main(int argc, char** argv) {
 
   std::FILE* out = std::fopen("BENCH_sweep.json", "w");
   if (out != nullptr) {
+    std::fprintf(out, "{\n");
+    bench::write_provenance_json(out, std::thread::hardware_concurrency());
     std::fprintf(out,
-                 "{\n"
                  "  \"scenarios\": %zu,\n"
                  "  \"jobs\": %d,\n"
-                 "  \"cpus\": %u,\n"
                  "  \"serial_seconds\": %.6f,\n"
                  "  \"parallel_seconds\": %.6f,\n"
                  "  \"serial_scenarios_per_sec\": %.4f,\n"
@@ -83,7 +87,7 @@ int main(int argc, char** argv) {
                  "  \"speedup\": %.4f,\n"
                  "  \"identical\": %s\n"
                  "}\n",
-                 configs.size(), jobs, std::thread::hardware_concurrency(),
+                 configs.size(), jobs,
                  serial.seconds, parallel.seconds,
                  configs.size() / serial.seconds,
                  configs.size() / parallel.seconds,

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <thread>
 #include <vector>
 
+#include "exp/sweep.hpp"
 #include "sim/shard.hpp"
 
 namespace tlc::exp {
@@ -106,16 +105,7 @@ void schedule_settle(FleetCtx& ctx, std::uint32_t s, std::uint32_t cycle) {
 
 std::uint32_t resolve_shards(std::uint32_t requested) {
   if (requested > 0) return requested;
-  // tlc-lint: allow(determinism): operator knob for shard-team width only —
-  // fleet results are byte-identical at any shard count
-  // (test_fleet_determinism proves it)
-  if (const char* env = std::getenv("TLC_SHARDS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::uint32_t>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return static_cast<std::uint32_t>(resolve_workers(0, "TLC_SHARDS"));
 }
 
 FleetResult run_fleet(const FleetConfig& config) {

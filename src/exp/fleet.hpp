@@ -90,8 +90,9 @@ struct FleetResult {
   obs::MetricsSnapshot metrics;
 };
 
-/// Effective shard count: `requested` if nonzero, else the TLC_SHARDS
-/// environment knob, else hardware concurrency (min 1).
+/// Effective shard count: `requested` if nonzero, else
+/// resolve_workers(0, "TLC_SHARDS") — the TLC_SHARDS knob when its whole
+/// value is a decimal in 1..INT_MAX, else hardware concurrency (min 1).
 [[nodiscard]] std::uint32_t resolve_shards(std::uint32_t requested);
 
 /// Runs the fleet scenario to its horizon and settles every cycle.

@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
-
-#include "exp/ws_deque.hpp"
 
 namespace tlc::exp {
 
@@ -32,17 +29,37 @@ std::uint64_t mix_seed(std::uint64_t seed, double background_mbps,
   return h;
 }
 
-int resolve_jobs(int requested) {
+namespace {
+
+// A worker count from `--jobs`, TLC_JOBS or TLC_SHARDS: the whole string
+// must be a decimal in 1..INT_MAX. Returns 0 for anything else — empty,
+// signed, trailing text or out of range — so no input wraps or truncates.
+int parse_workers(std::string_view text) {
+  int v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() || v < 1) {
+    return 0;
+  }
+  return v;
+}
+
+}  // namespace
+
+int resolve_workers(int requested, const char* env_var) {
   if (requested > 0) return requested;
-  // tlc-lint: allow(determinism): operator knob for worker-pool width only —
-  // sweep results are byte-identical at any job count (test_sweep proves it)
-  if (const char* env = std::getenv("TLC_JOBS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<int>(v);
+  // tlc-lint: allow(determinism): operator knob for worker-pool and
+  // shard-team width only — sweep and fleet results are byte-identical at
+  // any width (test_sweep and test_fleet_determinism prove it)
+  if (const char* env = std::getenv(env_var)) {
+    if (const int v = parse_workers(env); v > 0) return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+int resolve_jobs(int requested) {
+  return resolve_workers(requested, "TLC_JOBS");
 }
 
 SweepOptions sweep_options_from_cli(int& argc, char** argv) {
@@ -57,8 +74,7 @@ SweepOptions sweep_options_from_cli(int& argc, char** argv) {
       value = argv[++read];
     }
     if (value != nullptr) {
-      const int v = std::atoi(value);
-      if (v > 0) opt.jobs = v;
+      opt.jobs = parse_workers(value);  // 0 (auto) when invalid
       continue;  // consume the flag (and its value form)
     }
     argv[write++] = argv[read];
@@ -77,70 +93,24 @@ void sweep_indexed(std::size_t count, int jobs,
     return;
   }
 
-  // Block-partition the slots into one work-stealing deque per worker and
-  // prefill them all HERE, before any worker thread exists: thread
-  // creation publishes the plain buffer writes, and nothing pushes after
-  // that, so the deques' non-atomic storage is race-free by construction.
-  const std::size_t block = (count + workers - 1) / workers;
-  std::vector<std::unique_ptr<WsDeque>> deques;
-  deques.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    deques.push_back(std::make_unique<WsDeque>(block));
-    const std::size_t lo = w * block;
-    const std::size_t hi = std::min(lo + block, count);
-    // Push in reverse so the owner's LIFO pops walk the block in
-    // ascending slot order (thieves take from the far end).
-    for (std::size_t i = hi; i-- > lo;) deques[w]->push_bottom(i);
-  }
-
-  std::atomic<bool> stop{false};
+  // One shared cursor hands out slots in ascending order. A slot is a
+  // whole scenario (~1M dispatched events), so one fetch_add per claim
+  // cannot contend enough to matter.
+  std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
   std::exception_ptr first_error;
-  const auto run_slot = [&](std::size_t i) {
-    try {
-      body(i);
-    } catch (...) {
-      {
+  const auto drain = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        body(i);
+      } catch (...) {
         std::lock_guard<std::mutex> lock{error_mutex};
         if (!first_error) first_error = std::current_exception();
-      }
-      // Stop claiming new slots once a slot failed; in-flight slots on
-      // the other workers still run to completion before the rethrow.
-      stop.store(true, std::memory_order_relaxed);
-    }
-  };
-  const auto drain = [&](std::size_t w) {
-    WsDeque& own = *deques[w];
-    while (!stop.load(std::memory_order_relaxed)) {
-      std::size_t slot = 0;
-      if (own.pop_bottom(slot) == WsResult::kOk) {
-        run_slot(slot);
-        continue;
-      }
-      // Own block dry: sweep the victims in a fixed rotation. Only a
-      // clean full sweep of kEmpty results terminates — kContended means
-      // a race was lost, not that the work is gone.
-      bool stole = false;
-      bool contended = false;
-      for (std::size_t off = 1; off < workers && !stole; ++off) {
-        WsDeque& victim = *deques[(w + off) % workers];
-        for (;;) {
-          const WsResult r = victim.steal(slot);
-          if (r == WsResult::kOk) {
-            stole = true;
-          } else if (r == WsResult::kContended) {
-            contended = true;
-            continue;  // retry the same victim; its state is unknown
-          }
-          break;
-        }
-      }
-      if (stole) {
-        run_slot(slot);
-      } else if (!contended) {
-        return;  // every deque observed empty: all slots claimed
-      } else {
-        std::this_thread::yield();
+        // Exhaust the cursor so no worker claims a new slot; slots already
+        // in flight on other workers still finish before the rethrow.
+        next.store(count, std::memory_order_relaxed);
       }
     }
   };
@@ -148,9 +118,9 @@ void sweep_indexed(std::size_t count, int jobs,
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
   for (std::size_t w = 1; w < workers; ++w) {
-    pool.emplace_back([&, w] { drain(w); });
+    pool.emplace_back(drain);
   }
-  drain(0);  // the calling thread is worker 0
+  drain();  // the calling thread is worker 0
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -38,24 +38,29 @@ struct SweepOptions {
   int jobs = 0;
 };
 
-/// Resolves a jobs request against TLC_JOBS and the hardware: returns
-/// `requested` when positive, else TLC_JOBS when set and positive, else
-/// hardware_concurrency (minimum 1).
+/// Resolves a worker-count request: `requested` when positive, else the
+/// environment variable `env_var` when its whole value is a decimal in
+/// 1..INT_MAX, else hardware_concurrency (minimum 1). A value with
+/// trailing text, a sign or out of range is ignored, never wrapped.
+[[nodiscard]] int resolve_workers(int requested, const char* env_var);
+
+/// resolve_workers against TLC_JOBS.
 [[nodiscard]] int resolve_jobs(int requested = 0);
 
 /// Parses and removes `--jobs=N` / `--jobs N` from argv so every bench
 /// binary gets sweep control without its own flag plumbing. Unrecognised
 /// arguments are left in place. Returns options with jobs = 0 (auto) when
-/// the flag is absent.
+/// the flag is absent or its value is not a whole decimal in 1..INT_MAX.
 [[nodiscard]] SweepOptions sweep_options_from_cli(int& argc, char** argv);
 
 /// Runs `body(i)` for every i in [0, count) across `jobs` workers (resolved
-/// via resolve_jobs). Slots are block-partitioned into per-worker
-/// work-stealing deques (exp/ws_deque.hpp): a worker drains its own block
-/// contention-free and steals from the top of other workers' deques only
-/// when dry, so uneven slot costs rebalance without a shared cursor. The
-/// call returns when all slots finished. The first exception thrown by any
-/// slot is rethrown in the caller after the pool drains.
+/// via resolve_jobs; at most one per slot, and the calling thread is
+/// worker 0). Each worker claims its next slot from one shared atomic
+/// cursor until the cursor passes `count`; with one worker the slots run
+/// serially on the calling thread. The call returns when all claimed slots
+/// finished. After the first exception thrown by a slot no new slot is
+/// claimed, and that exception is rethrown in the caller once the pool
+/// has joined.
 void sweep_indexed(std::size_t count, int jobs,
                    const std::function<void(std::size_t)>& body);
 

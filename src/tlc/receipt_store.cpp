@@ -1,30 +1,84 @@
 #include "tlc/receipt_store.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "wire/codec.hpp"
 
 namespace tlc::core {
 namespace {
 
-constexpr char kMagic[8] = {'T', 'L', 'C', 'R', 'C', 'P', 'T', '1'};
+// Both receipt files share one framing: an 8-byte magic written when the
+// file is created, then records, each a big-endian u32 length followed by
+// that many bytes. Only the magic and the record payload differ.
+using Magic = char[8];
 
-void write_u32(std::ostream& os, std::uint32_t v) {
-  const char bytes[4] = {
-      static_cast<char>(v >> 24), static_cast<char>(v >> 16),
-      static_cast<char>(v >> 8), static_cast<char>(v)};
-  os.write(bytes, 4);
+constexpr Magic kMagic = {'T', 'L', 'C', 'R', 'C', 'P', 'T', '1'};
+constexpr Magic kBatchFileMagic = {'T', 'L', 'C', 'R', 'C', 'P', 'T', '2'};
+
+[[noreturn]] void fail(const char* who, const std::string& what) {
+  throw std::runtime_error{std::string{who} + ": " + what};
 }
 
-std::uint32_t read_u32(std::istream& is) {
-  unsigned char bytes[4];
-  is.read(reinterpret_cast<char*>(bytes), 4);
-  if (!is) throw std::runtime_error{"ReceiptStore: truncated record length"};
-  return (static_cast<std::uint32_t>(bytes[0]) << 24) |
-         (static_cast<std::uint32_t>(bytes[1]) << 16) |
-         (static_cast<std::uint32_t>(bytes[2]) << 8) |
-         static_cast<std::uint32_t>(bytes[3]);
+/// Appends one record to `path`, creating the file with `magic` if absent.
+void append_record(const std::filesystem::path& path, const Magic& magic,
+                   const ByteVec& bytes, const char* who) {
+  const bool fresh = !std::filesystem::exists(path);
+  std::ofstream os{path, std::ios::binary | std::ios::app};
+  if (!os) fail(who, "cannot open " + path.string());
+  if (fresh) os.write(magic, sizeof(Magic));
+  const auto len = static_cast<std::uint32_t>(bytes.size());
+  const char prefix[4] = {
+      static_cast<char>(len >> 24), static_cast<char>(len >> 16),
+      static_cast<char>(len >> 8), static_cast<char>(len)};
+  os.write(prefix, sizeof(prefix));
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
+  if (!os) fail(who, "write failed");
+}
+
+/// Calls `fn(record)` for each record of `path` in file order, decoding as
+/// it reads; a missing file has no records. Throws std::runtime_error on a
+/// foreign or truncated file, and when `fn` throws wire::DecodeError.
+template <typename Fn>
+void for_each_record(const std::filesystem::path& path, const Magic& magic,
+                     const char* who, Fn&& fn) {
+  if (!std::filesystem::exists(path)) return;
+  std::ifstream is{path, std::ios::binary};
+  if (!is) fail(who, "cannot open " + path.string());
+  char head[sizeof(Magic)];
+  is.read(head, sizeof(head));
+  if (!is || !std::equal(std::begin(head), std::end(head), magic)) {
+    fail(who, "not a receipt file");
+  }
+  // Bytes not yet read: a length field claiming more than this (a torn
+  // tail or a flipped bit) is rejected before anything is allocated for it.
+  std::uintmax_t left = std::filesystem::file_size(path) - sizeof(Magic);
+  ByteVec bytes;  // reused across records
+  while (is.peek() != std::ifstream::traits_type::eof()) {
+    unsigned char prefix[4];
+    is.read(reinterpret_cast<char*>(prefix), sizeof(prefix));
+    if (!is || left < sizeof(prefix)) fail(who, "truncated record length");
+    left -= sizeof(prefix);
+    const std::uint32_t len = (static_cast<std::uint32_t>(prefix[0]) << 24) |
+                              (static_cast<std::uint32_t>(prefix[1]) << 16) |
+                              (static_cast<std::uint32_t>(prefix[2]) << 8) |
+                              static_cast<std::uint32_t>(prefix[3]);
+    if (len > left) fail(who, "truncated record");
+    left -= len;
+    bytes.resize(len);
+    is.read(reinterpret_cast<char*>(bytes.data()),
+            static_cast<std::streamsize>(len));
+    if (!is) fail(who, "truncated record");
+    try {
+      fn(std::span<const std::uint8_t>{bytes});
+    } catch (const wire::DecodeError& e) {
+      fail(who, std::string{"corrupt record: "} + e.what());
+    }
+  }
 }
 
 }  // namespace
@@ -33,44 +87,15 @@ ReceiptStore::ReceiptStore(std::filesystem::path path)
     : path_(std::move(path)) {}
 
 void ReceiptStore::append(const PocMsg& poc) {
-  const bool fresh = !std::filesystem::exists(path_);
-  std::ofstream os{path_, std::ios::binary | std::ios::app};
-  if (!os) {
-    throw std::runtime_error{"ReceiptStore: cannot open " + path_.string()};
-  }
-  if (fresh) os.write(kMagic, sizeof(kMagic));
-  const ByteVec bytes = poc.encode();
-  write_u32(os, static_cast<std::uint32_t>(bytes.size()));
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-  if (!os) throw std::runtime_error{"ReceiptStore: write failed"};
+  append_record(path_, kMagic, poc.encode(), "ReceiptStore");
 }
 
 std::vector<PocMsg> ReceiptStore::load_all() const {
   std::vector<PocMsg> out;
-  if (!std::filesystem::exists(path_)) return out;
-  std::ifstream is{path_, std::ios::binary};
-  if (!is) {
-    throw std::runtime_error{"ReceiptStore: cannot open " + path_.string()};
-  }
-  char magic[sizeof(kMagic)];
-  is.read(magic, sizeof(magic));
-  if (!is || !std::equal(std::begin(magic), std::end(magic),
-                         std::begin(kMagic))) {
-    throw std::runtime_error{"ReceiptStore: not a receipt file"};
-  }
-  while (is.peek() != std::ifstream::traits_type::eof()) {
-    const std::uint32_t len = read_u32(is);
-    ByteVec bytes(len);
-    is.read(reinterpret_cast<char*>(bytes.data()), len);
-    if (!is) throw std::runtime_error{"ReceiptStore: truncated record"};
-    try {
-      out.push_back(PocMsg::decode(bytes));
-    } catch (const wire::DecodeError& e) {
-      throw std::runtime_error{std::string{"ReceiptStore: corrupt record: "} +
-                               e.what()};
-    }
-  }
+  for_each_record(path_, kMagic, "ReceiptStore",
+                  [&](std::span<const std::uint8_t> bytes) {
+                    out.push_back(PocMsg::decode(bytes));
+                  });
   return out;
 }
 
@@ -95,12 +120,6 @@ ReceiptStore::AuditReport ReceiptStore::audit(
 }
 
 // ---------------------------------------------------- BatchedReceiptStore
-
-namespace {
-
-constexpr char kBatchFileMagic[8] = {'T', 'L', 'C', 'R', 'C', 'P', 'T', '2'};
-
-}  // namespace
 
 BatchedReceiptStore::BatchedReceiptStore(std::filesystem::path path,
                                          const crypto::KeyPair& key,
@@ -131,49 +150,21 @@ void BatchedReceiptStore::flush() {
 }
 
 void BatchedReceiptStore::write_batch(const ReceiptBatch& batch) {
-  const bool fresh = !std::filesystem::exists(path_);
-  std::ofstream os{path_, std::ios::binary | std::ios::app};
-  if (!os) {
-    throw std::runtime_error{"BatchedReceiptStore: cannot open " +
-                             path_.string()};
-  }
-  if (fresh) os.write(kBatchFileMagic, sizeof(kBatchFileMagic));
   // Stored record == wire frame with a zeroed header: the archive holds
   // exactly the bytes a settlement would transmit.
-  const ByteVec bytes =
-      wire::encode_batch_frame(to_batch_frame(batch, wire::FrameHeader{}));
-  write_u32(os, static_cast<std::uint32_t>(bytes.size()));
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-  if (!os) throw std::runtime_error{"BatchedReceiptStore: write failed"};
+  append_record(
+      path_, kBatchFileMagic,
+      wire::encode_batch_frame(to_batch_frame(batch, wire::FrameHeader{})),
+      "BatchedReceiptStore");
 }
 
 std::vector<ReceiptBatch> BatchedReceiptStore::load_all() const {
   std::vector<ReceiptBatch> out;
-  if (!std::filesystem::exists(path_)) return out;
-  std::ifstream is{path_, std::ios::binary};
-  if (!is) {
-    throw std::runtime_error{"BatchedReceiptStore: cannot open " +
-                             path_.string()};
-  }
-  char magic[sizeof(kBatchFileMagic)];
-  is.read(magic, sizeof(magic));
-  if (!is || !std::equal(std::begin(magic), std::end(magic),
-                         std::begin(kBatchFileMagic))) {
-    throw std::runtime_error{"BatchedReceiptStore: not a batch receipt file"};
-  }
-  while (is.peek() != std::ifstream::traits_type::eof()) {
-    const std::uint32_t len = read_u32(is);
-    ByteVec bytes(len);
-    is.read(reinterpret_cast<char*>(bytes.data()), len);
-    if (!is) throw std::runtime_error{"BatchedReceiptStore: truncated record"};
-    try {
-      out.push_back(from_batch_frame(wire::decode_batch_frame(bytes)));
-    } catch (const wire::DecodeError& e) {
-      throw std::runtime_error{
-          std::string{"BatchedReceiptStore: corrupt record: "} + e.what()};
-    }
-  }
+  for_each_record(path_, kBatchFileMagic, "BatchedReceiptStore",
+                  [&](std::span<const std::uint8_t> bytes) {
+                    out.push_back(
+                        from_batch_frame(wire::decode_batch_frame(bytes)));
+                  });
   return out;
 }
 

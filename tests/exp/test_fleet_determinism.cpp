@@ -156,8 +156,17 @@ TEST(FleetKnobs, ResolveShardsPrecedence) {
   ASSERT_EQ(setenv("TLC_SHARDS", "3", 1), 0);
   EXPECT_EQ(resolve_shards(0), 3u);  // env knob when no request
   EXPECT_EQ(resolve_shards(2), 2u);  // request still wins over env
-  ASSERT_EQ(setenv("TLC_SHARDS", "garbage", 1), 0);
-  EXPECT_GE(resolve_shards(0), 1u);  // unparsable env ignored
+  ASSERT_EQ(setenv("TLC_SHARDS", "2147483647", 1), 0);
+  EXPECT_EQ(resolve_shards(0), 2147483647u);  // INT_MAX is still a count
+  ASSERT_EQ(unsetenv("TLC_SHARDS"), 0);
+  const std::uint32_t hardware = resolve_shards(0);
+  // Unparsable, out-of-range or trailing-text values are ignored, never
+  // wrapped (5000000000 used to become 705,032,704 shards).
+  for (const char* bad : {"garbage", "5000000000", "2147483648", "4abc",
+                          "-3", "0", ""}) {
+    ASSERT_EQ(setenv("TLC_SHARDS", bad, 1), 0);
+    EXPECT_EQ(resolve_shards(0), hardware) << "TLC_SHARDS=\"" << bad << '"';
+  }
   ASSERT_EQ(unsetenv("TLC_SHARDS"), 0);
 }
 

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -74,13 +76,23 @@ TEST(GridConfigs, CanonicalOrderBackgroundsOutermostSeedsInnermost) {
 // ------------------------------------------------------- jobs resolution ---
 
 TEST(ResolveJobs, RequestedWinsOverEnvironment) {
+  ::unsetenv("TLC_JOBS");
+  const int hardware = resolve_jobs(0);
+  EXPECT_GE(hardware, 1);
   ::setenv("TLC_JOBS", "7", 1);
   EXPECT_EQ(resolve_jobs(3), 3);
   EXPECT_EQ(resolve_jobs(0), 7);
-  ::setenv("TLC_JOBS", "not-a-number", 1);
-  EXPECT_GE(resolve_jobs(0), 1);  // falls back to hardware concurrency
+  ::setenv("TLC_JOBS", "2147483647", 1);  // INT_MAX is still a count
+  EXPECT_EQ(resolve_jobs(0), 2147483647);
+  // Anything that is not a whole decimal in 1..INT_MAX falls back to the
+  // hardware count instead of wrapping or truncating.
+  for (const char* bad : {"not-a-number", "3000000000", "2147483648", "4abc",
+                          "-4", "0", "", " 4", "+4"}) {
+    ::setenv("TLC_JOBS", bad, 1);
+    EXPECT_EQ(resolve_jobs(0), hardware) << "TLC_JOBS=\"" << bad << '"';
+  }
   ::unsetenv("TLC_JOBS");
-  EXPECT_GE(resolve_jobs(0), 1);
+  EXPECT_EQ(resolve_jobs(0), hardware);
 }
 
 TEST(SweepOptions, CliParsingStripsJobsFlag) {
@@ -93,6 +105,18 @@ TEST(SweepOptions, CliParsingStripsJobsFlag) {
   ASSERT_EQ(argc, 3);
   EXPECT_STREQ(argv[1], "--foo");
   EXPECT_STREQ(argv[2], "bar");
+}
+
+TEST(SweepOptions, CliParsingIgnoresInvalidJobs) {
+  for (const char* bad : {"3000000000", "4abc", "-2", "0", ""}) {
+    const std::string flag = std::string{"--jobs="} + bad;
+    std::vector<char*> argv{const_cast<char*>("bench"),
+                            const_cast<char*>(flag.c_str()), nullptr};
+    int argc = 2;
+    const SweepOptions opt = sweep_options_from_cli(argc, argv.data());
+    EXPECT_EQ(opt.jobs, 0) << flag;  // auto, not a wrapped count
+    EXPECT_EQ(argc, 1) << flag;      // the flag is still consumed
+  }
 }
 
 TEST(SweepOptions, CliParsingTwoTokenForm) {
@@ -109,9 +133,14 @@ TEST(SweepOptions, CliParsingTwoTokenForm) {
 // ------------------------------------------------------------- fan-out ----
 
 TEST(SweepIndexed, CoversEverySlotExactlyOnce) {
-  std::vector<std::atomic<int>> hits(257);
-  sweep_indexed(hits.size(), 4, [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // One slot, fewer slots than workers, an odd count, and many slots.
+  for (const std::size_t count : {1u, 3u, 257u, 10'000u}) {
+    std::vector<std::atomic<int>> hits(count);
+    sweep_indexed(hits.size(), 4, [&](std::size_t i) { hits[i]++; });
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "slot " << i << " of " << count;
+    }
+  }
 }
 
 TEST(SweepIndexed, FirstExceptionPropagatesToCaller) {
@@ -122,6 +151,23 @@ TEST(SweepIndexed, FirstExceptionPropagatesToCaller) {
                                }
                              }),
                std::runtime_error);
+}
+
+TEST(SweepIndexed, NoSlotClaimedAfterFailure) {
+  // Slot 0 fails at once while every other slot takes 1 ms, so a pool that
+  // kept claiming after the failure would run all 1,000 slots.
+  std::atomic<std::size_t> ran{0};
+  EXPECT_THROW(sweep_indexed(1'000, 2,
+                             [&](std::size_t i) {
+                               ran++;
+                               if (i == 0) {
+                                 throw std::runtime_error{"slot 0 failed"};
+                               }
+                               std::this_thread::sleep_for(
+                                   std::chrono::milliseconds{1});
+                             }),
+               std::runtime_error);
+  EXPECT_LT(ran.load(), 1'000u);
 }
 
 TEST(RunScenarios, ResultsIndexedBySubmissionSlot) {

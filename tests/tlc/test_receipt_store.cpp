@@ -70,6 +70,16 @@ TEST_F(ReceiptStoreTest, DetectsTruncation) {
   const auto size = std::filesystem::file_size(path_);
   std::filesystem::resize_file(path_, size - 10);
   EXPECT_THROW((void)store.load_all(), std::runtime_error);
+  // A length prefix claiming ~4 GiB more than the file holds (a flipped
+  // high bit) is rejected before that much is allocated.
+  std::filesystem::remove(path_);
+  store.append(make_valid_poc(kView, kView, 4));
+  {
+    std::ofstream os{path_, std::ios::binary | std::ios::app};
+    const char bogus[] = {'\xff', '\xff', '\xff', '\xf0', 'x', 'y', 'z'};
+    os.write(bogus, sizeof(bogus));
+  }
+  EXPECT_THROW((void)store.load_all(), std::runtime_error);
 }
 
 TEST_F(ReceiptStoreTest, AuditVerifiesEveryReceipt) {

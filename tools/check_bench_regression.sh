@@ -3,7 +3,9 @@
 # the committed baselines (BENCH_sched.json / BENCH_sweep.json) and warns —
 # without failing — when a throughput metric dropped more than 20%.
 # CI runners are noisy shared machines, so this is advisory; a hard gate
-# would flake. Sustained warnings across pushes are the real signal.
+# would flake. Sustained warnings across pushes are the real signal. The
+# sweep keys are compared only when the run's `cpus` equals the baseline's;
+# otherwise they are reported as "not comparable".
 #
 #   tools/check_bench_regression.sh NEW_sched.json NEW_sweep.json [NEW_poc_batch.json] [NEW_fleet.json] [NEW_serve.json]
 set -eu
@@ -38,6 +40,11 @@ compare() {
   fi
 }
 
+# json_uint FILE KEY — the unsigned integer value of KEY, empty if absent.
+json_uint() {
+  sed -n "s/^.*\"$2\": \([0-9]*\).*$/\1/p" "$1" | head -1
+}
+
 warned=0
 if [ -n "$new_sched" ] && [ -f "$new_sched" ]; then
   compare "$new_sched" "$repo_root/BENCH_sched.json" \
@@ -45,8 +52,17 @@ if [ -n "$new_sched" ] && [ -f "$new_sched" ]; then
   compare "$new_sched" "$repo_root/BENCH_sched.json" "mixed_events_per_sec"
 fi
 if [ -n "$new_sweep" ] && [ -f "$new_sweep" ]; then
-  compare "$new_sweep" "$repo_root/BENCH_sweep.json" \
-    "parallel_events_per_sec"
+  # Parallel sweep throughput scales with the CPU count, so a baseline from
+  # another CPU count says nothing about this run.
+  new_cpus="$(json_uint "$new_sweep" cpus)"
+  old_cpus="$(json_uint "$repo_root/BENCH_sweep.json" cpus)"
+  if [ "$new_cpus" = "$old_cpus" ]; then
+    compare "$new_sweep" "$repo_root/BENCH_sweep.json" \
+      "parallel_events_per_sec"
+  else
+    echo "not comparable: parallel_events_per_sec (cpus ${new_cpus:-?}," \
+      "baseline ${old_cpus:-?})"
+  fi
 fi
 if [ -n "$new_poc_batch" ] && [ -f "$new_poc_batch" ]; then
   compare "$new_poc_batch" "$repo_root/BENCH_poc_batch.json" \

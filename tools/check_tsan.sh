@@ -1,10 +1,12 @@
 #!/usr/bin/env sh
 # CI-style check: build with ThreadSanitizer (-DTLC_SANITIZE=thread) and run
 # the concurrency-sensitive tests — everything carrying the `sweep` ctest
-# label: the parallel-vs-serial determinism test, the sweep fan-out and
-# exception-propagation tests, and the concurrent-testbed registry-isolation
-# test. Any data race in the sweep engine, the thread-local scratch buffers,
-# or the log-hook globals fails the run.
+# label: the parallel-vs-serial determinism test, the sweep fan-out,
+# exception-propagation and stop-after-failure tests, and the
+# concurrent-testbed registry-isolation test. Any data race in the sweep
+# engine (workers claiming slots from one shared atomic cursor and writing
+# results by slot), the thread-local scratch buffers, or the log-hook
+# globals fails the run.
 #
 # Self-configuring: a missing or unconfigured build dir is created from the
 # `tsan` preset (or a plain configure when a custom dir is given), so the
