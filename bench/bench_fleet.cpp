@@ -6,21 +6,26 @@
 // byte-identical to the 1-shard reference (the determinism guarantee the
 // sharded runner is built on), and reports devices simulated, events/sec,
 // and the speedup of each shard count over 1 shard — to stdout and to
-// BENCH_fleet.json in the working directory. Exits non-zero on any
+// BENCH_fleet.json in the working directory, stamped with the host's cpus
+// and the build's compiler, build type and git sha. Exits non-zero on any
 // fingerprint mismatch.
 //
 // Knobs: --devices N, --cycles N, --devices-per-cell N, --seed N,
-// --shards A,B,C (default 1,2,4,8) and the TLC_SHARDS environment
-// variable (used only for entries of 0 in the --shards list).
+// --shards A,B,C (default 1,2,4,8; each entry a decimal in 1..INT_MAX, or
+// 0 for the TLC_SHARDS environment variable, else hardware concurrency).
+// Exits 2 naming the entry when a --shards entry is anything else.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "exp/fleet.hpp"
+#include "exp/sweep.hpp"
+#include "provenance.hpp"
 
 using namespace tlc;
 using namespace tlc::exp;
@@ -35,17 +40,23 @@ struct Options {
   std::vector<std::uint32_t> shard_counts{1, 2, 4, 8};
 };
 
-std::vector<std::uint32_t> parse_shard_list(const char* text) {
+std::vector<std::uint32_t> parse_shard_list(std::string_view text) {
   std::vector<std::uint32_t> out;
-  for (const char* p = text; *p != '\0';) {
-    char* end = nullptr;
-    const long v = std::strtol(p, &end, 10);
-    if (end == p) break;
-    out.push_back(v <= 0 ? resolve_shards(0)
-                         : static_cast<std::uint32_t>(v));
-    p = (*end == ',') ? end + 1 : end;
+  for (;;) {
+    const std::size_t comma = text.find(',');
+    const std::string_view token = text.substr(0, comma);
+    if (token == "0") {
+      out.push_back(resolve_shards(0));
+    } else if (const int v = parse_workers(token); v > 0) {
+      out.push_back(static_cast<std::uint32_t>(v));
+    } else {
+      std::fprintf(stderr, "bench_fleet: bad --shards entry \"%.*s\"\n",
+                   static_cast<int>(token.size()), token.data());
+      std::exit(2);
+    }
+    if (comma == std::string_view::npos) return out;
+    text.remove_prefix(comma + 1);
   }
-  return out;
 }
 
 Options parse_options(int argc, char** argv) {
@@ -68,8 +79,7 @@ Options parse_options(int argc, char** argv) {
     } else if (const char* v4 = want("--seed")) {
       opt.seed = std::strtoull(v4, nullptr, 10);
     } else if (const char* v5 = want("--shards")) {
-      const auto list = parse_shard_list(v5);
-      if (!list.empty()) opt.shard_counts = list;
+      opt.shard_counts = parse_shard_list(v5);
     }
   }
   return opt;
@@ -137,10 +147,10 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "{\n"
                  "  \"devices\": %zu,\n"
-                 "  \"cycles\": %u,\n"
-                 "  \"cpus\": %u,\n"
-                 "  \"events_per_run\": %llu,\n",
-                 opt.devices, opt.cycles, cpus,
+                 "  \"cycles\": %u,\n",
+                 opt.devices, opt.cycles);
+    bench::write_provenance_json(out, cpus);
+    std::fprintf(out, "  \"events_per_run\": %llu,\n",
                  static_cast<unsigned long long>(base.events));
     for (const Timing& t : rows) {
       std::fprintf(out,

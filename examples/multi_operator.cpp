@@ -1,8 +1,8 @@
 // Multi-access edge charging (§8): a V2X-style edge deployment bonds two
 // operators' networks for coverage. The edge vendor classifies traffic by
 // operator, runs an independent TLC negotiation with each, and holds one
-// dual-signed receipt per operator per cycle — archived in a ReceiptStore
-// for later audits.
+// dual-signed receipt per operator per cycle — archived in one receipt
+// store for later audits.
 #include <cstdio>
 
 #include "common/format.hpp"
@@ -65,12 +65,16 @@ int main() {
   const std::filesystem::path archive =
       std::filesystem::temp_directory_path() / "multi_operator_receipts.bin";
   std::filesystem::remove(archive);
-  ReceiptStore store{archive};
-
+  // Batch size 1: each receipt is on disk as soon as it is appended.
+  BatchedReceiptStore store{archive, edge_keys, PartyRole::kEdgeVendor,
+                            FlushPolicy{1, false}};
+  const std::uint64_t cycle = plan.cycle_at(kTimeZero).index;
   store.append(settle_with(session, "CarrierNorth", op_a_keys, edge_keys,
-                           plan, via_north));
+                           plan, via_north),
+               cycle);
   store.append(settle_with(session, "CarrierSouth", op_b_keys, edge_keys,
-                           plan, via_south));
+                           plan, via_south),
+               cycle);
 
   for (const auto& s : session.settlements()) {
     std::printf("%-13s charged %s in %d round(s), PoC %zu bytes\n",
@@ -81,10 +85,26 @@ int main() {
               format_bytes(session.total_charged()).c_str());
 
   // Months later, each operator's receipts are audited independently —
-  // CarrierNorth's verifier accepts only its own receipt.
-  PublicVerifier north_audit{edge_keys.public_key(), op_a_keys.public_key(),
-                             plan};
-  const auto report = store.audit(north_audit);
+  // CarrierNorth's verifier accepts only its own receipt. The edge signed
+  // every batch head, so the head check alone would pass CarrierSouth's
+  // receipt too: each entry gets the full Algorithm 2, whose CDR/CDA
+  // signature checks reject a receipt negotiated under another key.
+  const BatchedVerifier north_audit{edge_keys.public_key(),
+                                    op_a_keys.public_key(), plan};
+  AuditReport report;
+  for (const ReceiptBatch& batch : store.load_all()) {
+    for (std::size_t i = 0; i < batch.entries.size(); ++i) {
+      VerifiedCharge charge;
+      const VerifyResult result = north_audit.audit_entry(batch, i, &charge);
+      ++report.total;
+      if (result == VerifyResult::kOk) {
+        ++report.accepted;
+        report.total_verified_volume += charge.charged;
+      } else {
+        ++report.rejected;
+      }
+    }
+  }
   std::printf("CarrierNorth audit over the shared archive: %llu receipts, "
               "%llu verified (its own), %llu foreign/rejected\n",
               static_cast<unsigned long long>(report.total),

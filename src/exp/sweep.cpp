@@ -29,11 +29,6 @@ std::uint64_t mix_seed(std::uint64_t seed, double background_mbps,
   return h;
 }
 
-namespace {
-
-// A worker count from `--jobs`, TLC_JOBS or TLC_SHARDS: the whole string
-// must be a decimal in 1..INT_MAX. Returns 0 for anything else — empty,
-// signed, trailing text or out of range — so no input wraps or truncates.
 int parse_workers(std::string_view text) {
   int v = 0;
   const auto [end, ec] =
@@ -43,8 +38,6 @@ int parse_workers(std::string_view text) {
   }
   return v;
 }
-
-}  // namespace
 
 int resolve_workers(int requested, const char* env_var) {
   if (requested > 0) return requested;

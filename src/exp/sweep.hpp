@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string_view>
 #include <vector>
 
 #include "exp/scenario.hpp"
@@ -37,6 +38,12 @@ struct SweepOptions {
   /// thread (the baseline the determinism tests compare against).
   int jobs = 0;
 };
+
+/// A worker count from `--jobs`, `--shards`, TLC_JOBS or TLC_SHARDS: the
+/// whole string must be a decimal in 1..INT_MAX. Returns 0 for anything
+/// else — empty, signed, trailing text or out of range — so no input
+/// wraps or truncates.
+[[nodiscard]] int parse_workers(std::string_view text);
 
 /// Resolves a worker-count request: `requested` when positive, else the
 /// environment variable `env_var` when its whole value is a decimal in

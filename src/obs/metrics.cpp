@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "obs/json.hpp"
 
@@ -14,22 +13,6 @@ namespace {
 std::string format_double(double v) { return format_json_double(v); }
 
 }  // namespace
-
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0) {
-  if (!std::is_sorted(bounds_.begin(), bounds_.end())) {
-    throw std::invalid_argument{"Histogram: bounds must be sorted ascending"};
-  }
-}
-
-void Histogram::observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-  if (count_ == 0 || v < min_) min_ = v;
-  if (count_ == 0 || v > max_) max_ = v;
-  sum_ += v;
-  ++count_;
-}
 
 LogHistogram::LogHistogram() : counts_(kBucketCount, 0) {}
 
@@ -126,28 +109,6 @@ std::string MetricsSnapshot::to_json() const {
            ",\"min\":" + format_double(g.min) +
            ",\"max\":" + format_double(g.max) + "}";
   }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(&out, name);
-    out += ":{\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + format_double(h.sum) +
-           ",\"min\":" + format_double(h.min) +
-           ",\"max\":" + format_double(h.max) + ",\"buckets\":[";
-    for (std::size_t i = 0; i < h.bucket_counts.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      out += "{\"le\":";
-      if (i < h.upper_bounds.size()) {
-        out += format_double(h.upper_bounds[i]);
-      } else {
-        out += "\"inf\"";
-      }
-      out += ",\"count\":" + std::to_string(h.bucket_counts[i]) + "}";
-    }
-    out += "]}";
-  }
   out += "},\"log_histograms\":{";
   first = true;
   for (const auto& [name, h] : log_histograms) {
@@ -177,12 +138,6 @@ void MetricsSnapshot::print(std::FILE* out) const {
     std::fprintf(out, "  %-48s %.3f (min %.3f, max %.3f)\n", name.c_str(),
                  g.value, g.min, g.max);
   }
-  std::fprintf(out, "histograms:\n");
-  for (const auto& [name, h] : histograms) {
-    std::fprintf(out, "  %-48s n=%llu sum=%.3f min=%.3f max=%.3f\n",
-                 name.c_str(), static_cast<unsigned long long>(h.count),
-                 h.sum, h.min, h.max);
-  }
   std::fprintf(out, "percentiles:\n");
   for (const auto& [name, h] : log_histograms) {
     std::fprintf(
@@ -207,15 +162,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return gauges_.emplace(std::string{name}, Gauge{}).first->second;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> upper_bounds) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_
-      .emplace(std::string{name}, Histogram{std::move(upper_bounds)})
-      .first->second;
-}
-
 LogHistogram& MetricsRegistry::log_histogram(std::string_view name) {
   const auto it = log_histograms_.find(name);
   if (it != log_histograms_.end()) return it->second;
@@ -228,11 +174,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, c] : counters_) snap.counters[name] = c.value();
   for (const auto& [name, g] : gauges_) {
     snap.gauges[name] = GaugeSnapshot{g.value(), g.max(), g.min()};
-  }
-  for (const auto& [name, h] : histograms_) {
-    snap.histograms[name] =
-        HistogramSnapshot{h.upper_bounds(), h.bucket_counts(), h.count(),
-                          h.sum(), h.min(), h.max()};
   }
   for (const auto& [name, h] : log_histograms_) {
     snap.log_histograms[name] = LogHistogramSnapshot{

@@ -1,4 +1,4 @@
-// Metrics registry: named counters, gauges, and fixed-bucket histograms.
+// Metrics registry: named counters, gauges, and log-linear histograms.
 //
 // Designed for packet-path use: instruments are registered once (name
 // lookup, allocation) and then held by reference, so every increment is a
@@ -56,38 +56,8 @@ class Gauge {
   bool seen_ = false;
 };
 
-/// Fixed-bucket histogram: bucket i counts observations ≤ upper_bounds[i];
-/// one implicit overflow bucket counts the rest. Bounds are fixed at
-/// registration, so observe() never allocates.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void observe(double v);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-  [[nodiscard]] const std::vector<double>& upper_bounds() const {
-    return bounds_;
-  }
-  /// bucket_counts().size() == upper_bounds().size() + 1 (overflow last).
-  [[nodiscard]] const std::vector<std::uint64_t>& bucket_counts() const {
-    return counts_;
-  }
-
- private:
-  std::vector<double> bounds_;         // sorted ascending
-  std::vector<std::uint64_t> counts_;  // bounds_.size() + 1 entries
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Log-linear (HDR-style) histogram over non-negative 64-bit values,
-/// typically nanosecond latencies. Values below 2^kSubBucketBits are
+/// typically nanosecond latencies. Values below 2^(kSubBucketBits+1) are
 /// recorded exactly; above that, each power-of-two range is split into
 /// 2^kSubBucketBits linear sub-buckets, bounding the relative quantile
 /// error at 2^-kSubBucketBits (≤ 1.6%). min and max are exact. Storage is
@@ -158,20 +128,10 @@ struct LogHistogramSnapshot {
   std::uint64_t p99 = 0;
 };
 
-struct HistogramSnapshot {
-  std::vector<double> upper_bounds;
-  std::vector<std::uint64_t> bucket_counts;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
 /// Plain-data copy of a registry at one instant.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, GaugeSnapshot> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
   std::map<std::string, LogHistogramSnapshot> log_histograms;
 
   /// Counter value, or 0 when the counter was never registered.
@@ -207,9 +167,6 @@ class MetricsRegistry {
   /// storage), so hot paths resolve once and increment directly.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// `upper_bounds` is honoured on first registration only; later calls
-  /// with the same name return the existing histogram unchanged.
-  Histogram& histogram(std::string_view name, std::vector<double> upper_bounds);
   LogHistogram& log_histogram(std::string_view name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
@@ -218,7 +175,6 @@ class MetricsRegistry {
  private:
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
   std::map<std::string, LogHistogram, std::less<>> log_histograms_;
 };
 

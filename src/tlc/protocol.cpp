@@ -67,8 +67,7 @@ ProtocolParty::ProtocolParty(Config config, const Strategy& strategy,
     m_wire_bytes_received_ = &m.counter("tlc.protocol.wire_bytes_received");
     m_exchanges_done_ = &m.counter("tlc.protocol.exchanges_done");
     m_exchanges_failed_ = &m.counter("tlc.protocol.exchanges_failed");
-    m_rounds_ = &m.histogram("tlc.protocol.rounds",
-                             {1.0, 2.0, 4.0, 8.0, 16.0, 32.0});
+    m_rounds_ = &m.log_histogram("tlc.protocol.rounds");
   }
 }
 
@@ -93,7 +92,9 @@ void ProtocolParty::transition(ProtocolState to) {
   }
   if (to == ProtocolState::kDone) {
     if (m_exchanges_done_ != nullptr) m_exchanges_done_->inc();
-    if (m_rounds_ != nullptr) m_rounds_->observe(static_cast<double>(round_));
+    if (m_rounds_ != nullptr) {
+      m_rounds_->observe(static_cast<std::uint64_t>(round_));
+    }
   } else if (to == ProtocolState::kFailed) {
     if (m_exchanges_failed_ != nullptr) m_exchanges_failed_->inc();
     if (config_.obs != nullptr) {

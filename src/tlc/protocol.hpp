@@ -134,7 +134,7 @@ class ProtocolParty {
   obs::Counter* m_wire_bytes_received_ = nullptr;
   obs::Counter* m_exchanges_done_ = nullptr;
   obs::Counter* m_exchanges_failed_ = nullptr;
-  obs::Histogram* m_rounds_ = nullptr;
+  obs::LogHistogram* m_rounds_ = nullptr;
 };
 
 /// Drives two parties to completion over an in-memory channel (no latency).

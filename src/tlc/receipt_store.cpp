@@ -11,25 +11,20 @@
 namespace tlc::core {
 namespace {
 
-// Both receipt files share one framing: an 8-byte magic written when the
-// file is created, then records, each a big-endian u32 length followed by
-// that many bytes. Only the magic and the record payload differ.
-using Magic = char[8];
+// Framing: an 8-byte magic written when the file is created, then
+// records, each a big-endian u32 length followed by that many bytes.
+constexpr char kMagic[8] = {'T', 'L', 'C', 'R', 'C', 'P', 'T', '2'};
 
-constexpr Magic kMagic = {'T', 'L', 'C', 'R', 'C', 'P', 'T', '1'};
-constexpr Magic kBatchFileMagic = {'T', 'L', 'C', 'R', 'C', 'P', 'T', '2'};
-
-[[noreturn]] void fail(const char* who, const std::string& what) {
-  throw std::runtime_error{std::string{who} + ": " + what};
+[[noreturn]] void fail(const std::string& what) {
+  throw std::runtime_error{"BatchedReceiptStore: " + what};
 }
 
-/// Appends one record to `path`, creating the file with `magic` if absent.
-void append_record(const std::filesystem::path& path, const Magic& magic,
-                   const ByteVec& bytes, const char* who) {
+/// Appends one record to `path`, creating the file with the magic if absent.
+void append_record(const std::filesystem::path& path, const ByteVec& bytes) {
   const bool fresh = !std::filesystem::exists(path);
   std::ofstream os{path, std::ios::binary | std::ios::app};
-  if (!os) fail(who, "cannot open " + path.string());
-  if (fresh) os.write(magic, sizeof(Magic));
+  if (!os) fail("cannot open " + path.string());
+  if (fresh) os.write(kMagic, sizeof(kMagic));
   const auto len = static_cast<std::uint32_t>(bytes.size());
   const char prefix[4] = {
       static_cast<char>(len >> 24), static_cast<char>(len >> 16),
@@ -37,89 +32,50 @@ void append_record(const std::filesystem::path& path, const Magic& magic,
   os.write(prefix, sizeof(prefix));
   os.write(reinterpret_cast<const char*>(bytes.data()),
            static_cast<std::streamsize>(bytes.size()));
-  if (!os) fail(who, "write failed");
+  if (!os) fail("write failed");
 }
 
 /// Calls `fn(record)` for each record of `path` in file order, decoding as
 /// it reads; a missing file has no records. Throws std::runtime_error on a
 /// foreign or truncated file, and when `fn` throws wire::DecodeError.
 template <typename Fn>
-void for_each_record(const std::filesystem::path& path, const Magic& magic,
-                     const char* who, Fn&& fn) {
+void for_each_record(const std::filesystem::path& path, Fn&& fn) {
   if (!std::filesystem::exists(path)) return;
   std::ifstream is{path, std::ios::binary};
-  if (!is) fail(who, "cannot open " + path.string());
-  char head[sizeof(Magic)];
+  if (!is) fail("cannot open " + path.string());
+  char head[sizeof(kMagic)];
   is.read(head, sizeof(head));
-  if (!is || !std::equal(std::begin(head), std::end(head), magic)) {
-    fail(who, "not a receipt file");
+  if (!is || !std::equal(std::begin(head), std::end(head), kMagic)) {
+    fail("not a receipt file");
   }
   // Bytes not yet read: a length field claiming more than this (a torn
   // tail or a flipped bit) is rejected before anything is allocated for it.
-  std::uintmax_t left = std::filesystem::file_size(path) - sizeof(Magic);
+  std::uintmax_t left = std::filesystem::file_size(path) - sizeof(kMagic);
   ByteVec bytes;  // reused across records
   while (is.peek() != std::ifstream::traits_type::eof()) {
     unsigned char prefix[4];
     is.read(reinterpret_cast<char*>(prefix), sizeof(prefix));
-    if (!is || left < sizeof(prefix)) fail(who, "truncated record length");
+    if (!is || left < sizeof(prefix)) fail("truncated record length");
     left -= sizeof(prefix);
     const std::uint32_t len = (static_cast<std::uint32_t>(prefix[0]) << 24) |
                               (static_cast<std::uint32_t>(prefix[1]) << 16) |
                               (static_cast<std::uint32_t>(prefix[2]) << 8) |
                               static_cast<std::uint32_t>(prefix[3]);
-    if (len > left) fail(who, "truncated record");
+    if (len > left) fail("truncated record");
     left -= len;
     bytes.resize(len);
     is.read(reinterpret_cast<char*>(bytes.data()),
             static_cast<std::streamsize>(len));
-    if (!is) fail(who, "truncated record");
+    if (!is) fail("truncated record");
     try {
       fn(std::span<const std::uint8_t>{bytes});
     } catch (const wire::DecodeError& e) {
-      fail(who, std::string{"corrupt record: "} + e.what());
+      fail(std::string{"corrupt record: "} + e.what());
     }
   }
 }
 
 }  // namespace
-
-ReceiptStore::ReceiptStore(std::filesystem::path path)
-    : path_(std::move(path)) {}
-
-void ReceiptStore::append(const PocMsg& poc) {
-  append_record(path_, kMagic, poc.encode(), "ReceiptStore");
-}
-
-std::vector<PocMsg> ReceiptStore::load_all() const {
-  std::vector<PocMsg> out;
-  for_each_record(path_, kMagic, "ReceiptStore",
-                  [&](std::span<const std::uint8_t> bytes) {
-                    out.push_back(PocMsg::decode(bytes));
-                  });
-  return out;
-}
-
-std::size_t ReceiptStore::count() const { return load_all().size(); }
-
-ReceiptStore::AuditReport ReceiptStore::audit(
-    PublicVerifier& verifier) const {
-  AuditReport report;
-  for (const PocMsg& poc : load_all()) {
-    ++report.total;
-    VerifiedCharge charge;
-    const VerifyResult result = verifier.verify(poc.encode(), &charge);
-    ++report.by_result[result];
-    if (result == VerifyResult::kOk) {
-      ++report.accepted;
-      report.total_verified_volume += charge.charged;
-    } else {
-      ++report.rejected;
-    }
-  }
-  return report;
-}
-
-// ---------------------------------------------------- BatchedReceiptStore
 
 BatchedReceiptStore::BatchedReceiptStore(std::filesystem::path path,
                                          const crypto::KeyPair& key,
@@ -152,19 +108,15 @@ void BatchedReceiptStore::flush() {
 void BatchedReceiptStore::write_batch(const ReceiptBatch& batch) {
   // Stored record == wire frame with a zeroed header: the archive holds
   // exactly the bytes a settlement would transmit.
-  append_record(
-      path_, kBatchFileMagic,
-      wire::encode_batch_frame(to_batch_frame(batch, wire::FrameHeader{})),
-      "BatchedReceiptStore");
+  append_record(path_, wire::encode_batch_frame(
+                          to_batch_frame(batch, wire::FrameHeader{})));
 }
 
 std::vector<ReceiptBatch> BatchedReceiptStore::load_all() const {
   std::vector<ReceiptBatch> out;
-  for_each_record(path_, kBatchFileMagic, "BatchedReceiptStore",
-                  [&](std::span<const std::uint8_t> bytes) {
-                    out.push_back(
-                        from_batch_frame(wire::decode_batch_frame(bytes)));
-                  });
+  for_each_record(path_, [&](std::span<const std::uint8_t> bytes) {
+    out.push_back(from_batch_frame(wire::decode_batch_frame(bytes)));
+  });
   return out;
 }
 

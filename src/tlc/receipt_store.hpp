@@ -2,9 +2,11 @@
 //
 // Both parties "locally store [the PoC] as a charging receipt" (§5.3.2);
 // disputes may surface months later (the lawsuits of §1), so receipts need
-// a durable, audit-friendly store. Format: a length-prefixed sequence of
-// encoded PoCs with a magic header — append-only, order-preserving, and
-// auditable in one pass with a PublicVerifier.
+// a durable, audit-friendly store. Format: an 8-byte magic header, then an
+// append-only sequence of length-prefixed records, each one signed,
+// hash-chained ReceiptBatch as its wire batch frame (zeroed frame header),
+// so the on-disk bytes are exactly what crosses the wire. A batch size of
+// 1 puts every receipt on disk as soon as it is appended.
 #pragma once
 
 #include <cstdint>
@@ -17,40 +19,17 @@
 
 namespace tlc::core {
 
-class ReceiptStore {
- public:
-  explicit ReceiptStore(std::filesystem::path path);
-
-  /// Appends one receipt (creates the file with a header if absent).
-  void append(const PocMsg& poc);
-
-  /// Loads every stored receipt; throws std::runtime_error on a corrupt
-  /// or foreign file.
-  [[nodiscard]] std::vector<PocMsg> load_all() const;
-
-  [[nodiscard]] std::size_t count() const;
-  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
-
-  struct AuditReport {
-    std::uint64_t total = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected = 0;
-    std::map<VerifyResult, std::uint64_t> by_result;
-    Bytes total_verified_volume;
-  };
-
-  /// Verifies every stored receipt against `verifier` (Algorithm 2 per
-  /// receipt; the verifier's replay cache catches duplicate receipts).
-  [[nodiscard]] AuditReport audit(PublicVerifier& verifier) const;
-
- private:
-  std::filesystem::path path_;
+/// Totals of one receipt audit.
+struct AuditReport {
+  std::uint64_t total = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;
+  std::map<VerifyResult, std::uint64_t> by_result;
+  Bytes total_verified_volume;
 };
 
-/// Batched archive: signed, hash-chained ReceiptBatch records instead of
-/// bare PoCs. Records are serialized wire batch frames (zeroed frame
-/// header), so the on-disk bytes are exactly what crosses the wire.
-/// Audits run through a BatchedVerifier — one RSA check per stored batch.
+/// The receipt archive. Audits run through a BatchedVerifier — one RSA
+/// check per stored batch.
 class BatchedReceiptStore {
  public:
   BatchedReceiptStore(std::filesystem::path path, const crypto::KeyPair& key,
@@ -79,7 +58,7 @@ class BatchedReceiptStore {
     std::uint64_t heads_accepted = 0;
     std::uint64_t heads_rejected = 0;
     std::map<BatchVerifyResult, std::uint64_t> by_head_result;
-    ReceiptStore::AuditReport receipts;
+    AuditReport receipts;
   };
 
   /// One pass over the archive: chain order, head signatures, inclusion

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -93,6 +94,11 @@ TEST(ResolveJobs, RequestedWinsOverEnvironment) {
   }
   ::unsetenv("TLC_JOBS");
   EXPECT_EQ(resolve_jobs(0), hardware);
+  // The parser behind --jobs, --shards and both variables, called directly.
+  EXPECT_EQ(parse_workers("2147483647"), INT_MAX);
+  for (const char* bad : {"5000000000", "4abc", "-1", ""}) {
+    EXPECT_EQ(parse_workers(bad), 0) << '"' << bad << '"';
+  }
 }
 
 TEST(SweepOptions, CliParsingStripsJobsFlag) {

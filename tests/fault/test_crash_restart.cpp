@@ -31,21 +31,30 @@ class CrashRestartTest : public testing::ProtocolFixture {
   static constexpr LocalView kEdgeView{Bytes{1'000'000}, Bytes{920'000}};
   static constexpr LocalView kOpView{Bytes{990'000}, Bytes{915'000}};
 
+  /// Batch size 1: every append is on disk before the next call returns.
+  [[nodiscard]] BatchedReceiptStore open() const {
+    return BatchedReceiptStore{path_, edge_keys(), PartyRole::kEdgeVendor,
+                               FlushPolicy{1, false}};
+  }
+
+  [[nodiscard]] AuditReport audit() const {
+    BatchedVerifier verifier{edge_keys().public_key(),
+                             operator_keys().public_key(), plan()};
+    return open().audit(verifier).receipts;
+  }
+
   std::filesystem::path path_;
 };
 
 TEST_F(CrashRestartTest, ReceiptsSurviveRestartAndAuditClean) {
   {
-    ReceiptStore store{path_};
-    store.append(make_valid_poc(kEdgeView, kOpView, 51));
-    store.append(make_valid_poc(kEdgeView, kOpView, 52));
+    BatchedReceiptStore store = open();
+    store.append(make_valid_poc(kEdgeView, kOpView, 51), 0);
+    store.append(make_valid_poc(kEdgeView, kOpView, 52), 0);
   }  // process dies
 
-  ReceiptStore reopened{path_};
-  ASSERT_EQ(reopened.count(), 2u);
-  PublicVerifier verifier{edge_keys().public_key(),
-                          operator_keys().public_key(), plan()};
-  const auto report = reopened.audit(verifier);
+  ASSERT_EQ(open().count(), 2u);
+  const AuditReport report = audit();
   EXPECT_EQ(report.total, 2u);
   EXPECT_EQ(report.accepted, 2u);
   EXPECT_EQ(report.rejected, 0u);
@@ -53,17 +62,11 @@ TEST_F(CrashRestartTest, ReceiptsSurviveRestartAndAuditClean) {
 
 TEST_F(CrashRestartTest, RestartCannotDoubleBillAStoredReceipt) {
   const PocMsg poc = make_valid_poc(kEdgeView, kOpView, 53);
-  {
-    ReceiptStore store{path_};
-    store.append(poc);
-  }
+  open().append(poc, 0);
   // The restarted process replays its last receipt into the store (e.g. a
   // lost ack made it re-append). The audit must count the volume once.
-  ReceiptStore reopened{path_};
-  reopened.append(poc);
-  PublicVerifier verifier{edge_keys().public_key(),
-                          operator_keys().public_key(), plan()};
-  const auto report = reopened.audit(verifier);
+  open().append(poc, 0);
+  const AuditReport report = audit();
   EXPECT_EQ(report.total, 2u);
   EXPECT_EQ(report.accepted, 1u);
   EXPECT_EQ(report.by_result.at(VerifyResult::kReplayed), 1u);
@@ -98,12 +101,8 @@ TEST_F(CrashRestartTest, MidExchangeCrashRenegotiatesCleanly) {
   ASSERT_EQ(op.state(), ProtocolState::kDone);
   ASSERT_TRUE(op.poc().has_value());
 
-  ReceiptStore store{path_};
-  store.append(*op.poc());
-  PublicVerifier verifier{edge_keys().public_key(),
-                          operator_keys().public_key(), plan()};
-  const auto report = ReceiptStore{path_}.audit(verifier);
-  EXPECT_EQ(report.accepted, 1u);
+  open().append(*op.poc(), 0);
+  EXPECT_EQ(audit().accepted, 1u);
 }
 
 }  // namespace

@@ -41,27 +41,6 @@ TEST(Gauge, TracksLowWatermark) {
   EXPECT_DOUBLE_EQ(g.min(), 1.0);
 }
 
-TEST(Histogram, BucketsByInclusiveUpperBound) {
-  Histogram h{{1.0, 10.0}};
-  h.observe(1.0);    // == bound 1 → bucket 0
-  h.observe(0.5);    // bucket 0
-  h.observe(1.5);    // bucket 1
-  h.observe(10.0);   // == bound 10 → bucket 1
-  h.observe(100.0);  // overflow
-  ASSERT_EQ(h.bucket_counts().size(), 3u);
-  EXPECT_EQ(h.bucket_counts()[0], 2u);
-  EXPECT_EQ(h.bucket_counts()[1], 2u);
-  EXPECT_EQ(h.bucket_counts()[2], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 113.0);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-}
-
-TEST(Histogram, RejectsUnsortedBounds) {
-  EXPECT_THROW(Histogram({5.0, 1.0}), std::invalid_argument);
-}
-
 TEST(LogHistogram, SmallValuesAreExact) {
   LogHistogram h;
   for (std::uint64_t v = 0; v < LogHistogram::kSubBuckets; ++v) {
@@ -147,14 +126,6 @@ TEST(MetricsRegistry, ReferencesSurviveLaterRegistrations) {
   EXPECT_EQ(reg.counter("first").value(), 7u);
 }
 
-TEST(MetricsRegistry, HistogramBoundsFixedAtFirstRegistration) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("h", {1.0, 2.0});
-  Histogram& again = reg.histogram("h", {99.0});
-  EXPECT_EQ(&h, &again);
-  EXPECT_EQ(again.upper_bounds().size(), 2u);
-}
-
 TEST(MetricsRegistry, SnapshotIsIsolatedFromLaterMutation) {
   MetricsRegistry reg;
   reg.counter("c").inc(5);
@@ -176,14 +147,10 @@ TEST(MetricsSnapshot, CanonicalJsonShape) {
   reg.counter("b").inc(2);
   reg.counter("a").inc(1);
   reg.gauge("g").set(2.0);
-  reg.histogram("h", {1.0}).observe(0.5);
   reg.log_histogram("lat").observe(100);
   EXPECT_EQ(reg.to_json(),
             "{\"counters\":{\"a\":1,\"b\":2},"
             "\"gauges\":{\"g\":{\"value\":2,\"min\":2,\"max\":2}},"
-            "\"histograms\":{\"h\":{\"count\":1,\"sum\":0.5,\"min\":0.5,"
-            "\"max\":0.5,\"buckets\":[{\"le\":1,\"count\":1},"
-            "{\"le\":\"inf\",\"count\":0}]}},"
             "\"log_histograms\":{\"lat\":{\"count\":1,\"sum\":100,"
             "\"min\":100,\"max\":100,\"p50\":100,\"p90\":100,"
             "\"p99\":100}}}");

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "tlc/protocol_fixture.hpp"
 #include "tlc/receipt_store.hpp"
@@ -383,6 +385,72 @@ TEST_F(BatchStoreTest, RejectsForeignFile) {
   EXPECT_THROW((BatchedReceiptStore{path_, operator_keys(),
                                     PartyRole::kCellularOperator}),
                std::runtime_error);
+}
+
+TEST_F(BatchStoreTest, EveryTruncationThrowsOrEndsOnARecord) {
+  {
+    BatchedReceiptStore store{path_, operator_keys(),
+                              PartyRole::kCellularOperator,
+                              FlushPolicy{2, false}};
+    for (const PocMsg& poc : make_pocs(5, 440)) {
+      store.append(poc, poc.plan.cycle_index);
+    }
+    store.flush();
+  }
+  std::vector<char> bytes;
+  {
+    std::ifstream is{path_, std::ios::binary};
+    bytes.assign(std::istreambuf_iterator<char>{is}, {});
+  }
+  const std::vector<ReceiptBatch> full =
+      BatchedReceiptStore{path_, operator_keys(), PartyRole::kCellularOperator}
+          .load_all();
+  ASSERT_EQ(full.size(), 3u);
+
+  // Record ends: the 8-byte magic, then a u32 big-endian length per record.
+  std::vector<std::size_t> ends{8};
+  while (ends.back() < bytes.size()) {
+    ASSERT_LE(ends.back() + 4, bytes.size());
+    std::size_t len = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      len = (len << 8) | static_cast<unsigned char>(bytes[ends.back() + i]);
+    }
+    ends.push_back(ends.back() + 4 + len);
+  }
+  ASSERT_EQ(ends.size(), full.size() + 1);
+  ASSERT_EQ(ends.back(), bytes.size());
+
+  // `reader` opens before the torn copy exists, so its load_all() runs on
+  // every truncation; a constructor run on each one must agree with it.
+  const std::filesystem::path torn = path_.string() + ".torn";
+  std::filesystem::remove(torn);
+  const BatchedReceiptStore reader{torn, operator_keys(),
+                                   PartyRole::kCellularOperator};
+  for (std::size_t k = 0; k < bytes.size(); ++k) {
+    {
+      std::ofstream os{torn, std::ios::binary | std::ios::trunc};
+      os.write(bytes.data(), static_cast<std::streamsize>(k));
+    }
+    const auto end = std::find(ends.begin(), ends.end(), k);
+    if (end == ends.end()) {
+      EXPECT_THROW((void)reader.load_all(), std::runtime_error) << "k=" << k;
+      EXPECT_THROW((BatchedReceiptStore{torn, operator_keys(),
+                                        PartyRole::kCellularOperator}),
+                   std::runtime_error)
+          << "k=" << k;
+      continue;
+    }
+    const BatchedReceiptStore reopened{torn, operator_keys(),
+                                       PartyRole::kCellularOperator};
+    for (const auto& loaded : {reader.load_all(), reopened.load_all()}) {
+      ASSERT_EQ(loaded.size(), static_cast<std::size_t>(end - ends.begin()))
+          << "k=" << k;
+      for (std::size_t i = 0; i < loaded.size(); ++i) {
+        EXPECT_EQ(loaded[i].head.link, full[i].head.link) << "k=" << k;
+      }
+    }
+  }
+  std::filesystem::remove(torn);
 }
 
 }  // namespace

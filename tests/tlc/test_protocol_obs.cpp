@@ -66,7 +66,7 @@ TEST_F(ProtocolObsTest, CleanExchangeEmitsOneStateEventPerTransition) {
   // Both parties see the same bytes on the wire, just in opposite roles.
   EXPECT_EQ(snap.counter_or_zero("tlc.protocol.wire_bytes_received"),
             snap.counter_or_zero("tlc.protocol.wire_bytes_sent"));
-  EXPECT_EQ(snap.histograms.at("tlc.protocol.rounds").count, 2u);
+  EXPECT_EQ(snap.log_histograms.at("tlc.protocol.rounds").count, 2u);
 }
 
 TEST_F(ProtocolObsTest, ReplayedSequenceFailureIsVisibleInTrace) {

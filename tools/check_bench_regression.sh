@@ -4,8 +4,9 @@
 # without failing — when a throughput metric dropped more than 20%.
 # CI runners are noisy shared machines, so this is advisory; a hard gate
 # would flake. Sustained warnings across pushes are the real signal. The
-# sweep keys are compared only when the run's `cpus` equals the baseline's;
-# otherwise they are reported as "not comparable".
+# multi-core keys (sweep parallel throughput, fleet best speedup) are
+# compared only when the run's `cpus` equals the baseline's; otherwise they
+# are reported as "not comparable".
 #
 #   tools/check_bench_regression.sh NEW_sched.json NEW_sweep.json [NEW_poc_batch.json] [NEW_fleet.json] [NEW_serve.json]
 set -eu
@@ -45,6 +46,19 @@ json_uint() {
   sed -n "s/^.*\"$2\": \([0-9]*\).*$/\1/p" "$1" | head -1
 }
 
+# compare_like_host FILE BASELINE KEY — compare, but only when FILE and
+# BASELINE report the same `cpus`: a multi-core figure from another CPU
+# count says nothing about this run.
+compare_like_host() {
+  new_cpus="$(json_uint "$1" cpus)"
+  old_cpus="$(json_uint "$2" cpus)"
+  if [ "$new_cpus" = "$old_cpus" ]; then
+    compare "$1" "$2" "$3"
+  else
+    echo "not comparable: $3 (cpus ${new_cpus:-?}, baseline ${old_cpus:-?})"
+  fi
+}
+
 warned=0
 if [ -n "$new_sched" ] && [ -f "$new_sched" ]; then
   compare "$new_sched" "$repo_root/BENCH_sched.json" \
@@ -52,17 +66,8 @@ if [ -n "$new_sched" ] && [ -f "$new_sched" ]; then
   compare "$new_sched" "$repo_root/BENCH_sched.json" "mixed_events_per_sec"
 fi
 if [ -n "$new_sweep" ] && [ -f "$new_sweep" ]; then
-  # Parallel sweep throughput scales with the CPU count, so a baseline from
-  # another CPU count says nothing about this run.
-  new_cpus="$(json_uint "$new_sweep" cpus)"
-  old_cpus="$(json_uint "$repo_root/BENCH_sweep.json" cpus)"
-  if [ "$new_cpus" = "$old_cpus" ]; then
-    compare "$new_sweep" "$repo_root/BENCH_sweep.json" \
-      "parallel_events_per_sec"
-  else
-    echo "not comparable: parallel_events_per_sec (cpus ${new_cpus:-?}," \
-      "baseline ${old_cpus:-?})"
-  fi
+  compare_like_host "$new_sweep" "$repo_root/BENCH_sweep.json" \
+    "parallel_events_per_sec"
 fi
 if [ -n "$new_poc_batch" ] && [ -f "$new_poc_batch" ]; then
   compare "$new_poc_batch" "$repo_root/BENCH_poc_batch.json" \
@@ -73,7 +78,7 @@ fi
 
 if [ -n "$new_fleet" ] && [ -f "$new_fleet" ]; then
   compare "$new_fleet" "$repo_root/BENCH_fleet.json" "shard1_events_per_sec"
-  compare "$new_fleet" "$repo_root/BENCH_fleet.json" "best_speedup"
+  compare_like_host "$new_fleet" "$repo_root/BENCH_fleet.json" "best_speedup"
 fi
 
 if [ -n "$new_serve" ] && [ -f "$new_serve" ]; then
